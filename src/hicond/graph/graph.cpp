@@ -169,17 +169,42 @@ std::vector<WeightedEdge> Graph::edge_list() const {
 
 void Graph::laplacian_apply(std::span<const double> x,
                             std::span<double> y) const {
-  HICOND_CHECK(x.size() == static_cast<std::size_t>(n_), "x size mismatch");
-  HICOND_CHECK(y.size() == static_cast<std::size_t>(n_), "y size mismatch");
-  parallel_for(static_cast<std::size_t>(n_), [&](std::size_t v) {
-    double acc = vol_[v] * x[v];
-    for (eidx a = offsets_[v]; a < offsets_[v + 1]; ++a) {
-      acc -= weights_[static_cast<std::size_t>(a)] *
-             x[static_cast<std::size_t>(targets_[static_cast<std::size_t>(a)])];
+  laplacian_apply_block(x, y, 1);
+}
+
+namespace {
+
+/// Y = A X for the W columns starting at x and y (column stride n). W is a
+/// compile-time constant so the accumulators live in registers; each
+/// column accumulates the vol term first, then the arcs in CSR order.
+template <std::size_t W>
+void laplacian_apply_columns(const eidx* offsets, const vidx* targets,
+                             const double* weights, const double* vol,
+                             std::size_t n, const double* x, double* y) {
+  parallel_for(n, [=](std::size_t v) {
+    double acc[W];
+    for (std::size_t j = 0; j < W; ++j) acc[j] = vol[v] * x[j * n + v];
+    for (eidx a = offsets[v]; a < offsets[v + 1]; ++a) {
+      const double w = weights[a];
+      const auto t = static_cast<std::size_t>(targets[a]);
+      for (std::size_t j = 0; j < W; ++j) acc[j] -= w * x[j * n + t];
     }
-    y[v] = acc;
+    for (std::size_t j = 0; j < W; ++j) y[j * n + v] = acc[j];
   });
 }
+
+using ColumnsKernel = void (*)(const eidx*, const vidx*, const double*,
+                               const double*, std::size_t, const double*,
+                               double*);
+
+/// Entry W-1 applies W columns; the widest entry sets the chunk width.
+constexpr ColumnsKernel kColumnsKernels[] = {
+    laplacian_apply_columns<1>, laplacian_apply_columns<2>,
+    laplacian_apply_columns<3>, laplacian_apply_columns<4>,
+    laplacian_apply_columns<5>, laplacian_apply_columns<6>,
+    laplacian_apply_columns<7>, laplacian_apply_columns<8>};
+
+}  // namespace
 
 void Graph::laplacian_apply_block(std::span<const double> x,
                                   std::span<double> y, int k) const {
@@ -190,30 +215,13 @@ void Graph::laplacian_apply_block(std::span<const double> x,
   HICOND_CHECK(y.size() == n * static_cast<std::size_t>(k),
                "y block size mismatch");
   // Column chunks bound the per-vertex accumulator array; within a chunk the
-  // arc metadata is loaded once and fans out to every column. Per column the
-  // accumulation order (vol term first, then arcs in CSR order) is exactly
-  // laplacian_apply's, which keeps the batched path bitwise identical.
-  constexpr int kChunk = 8;
+  // arc metadata is loaded once and fans out to every column.
+  constexpr int kChunk = static_cast<int>(std::size(kColumnsKernels));
   for (int j0 = 0; j0 < k; j0 += kChunk) {
-    const int jc = std::min(kChunk, k - j0);
-    parallel_for(n, [&](std::size_t v) {
-      double acc[kChunk];
-      for (int j = 0; j < jc; ++j) {
-        acc[j] = vol_[v] *
-                 x[static_cast<std::size_t>(j0 + j) * n + v];
-      }
-      for (eidx a = offsets_[v]; a < offsets_[v + 1]; ++a) {
-        const double w = weights_[static_cast<std::size_t>(a)];
-        const auto t =
-            static_cast<std::size_t>(targets_[static_cast<std::size_t>(a)]);
-        for (int j = 0; j < jc; ++j) {
-          acc[j] -= w * x[static_cast<std::size_t>(j0 + j) * n + t];
-        }
-      }
-      for (int j = 0; j < jc; ++j) {
-        y[static_cast<std::size_t>(j0 + j) * n + v] = acc[j];
-      }
-    });
+    const auto offset = static_cast<std::size_t>(j0) * n;
+    kColumnsKernels[std::min(kChunk, k - j0) - 1](
+        offsets_.data(), targets_.data(), weights_.data(), vol_.data(), n,
+        x.data() + offset, y.data() + offset);
   }
 }
 

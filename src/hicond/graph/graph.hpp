@@ -125,15 +125,16 @@ class Graph {
   /// whether a quotient actually changed. O(n + m).
   [[nodiscard]] bool identical_to(const Graph& other) const noexcept;
 
-  /// y = A_G x where A_G is the graph Laplacian; parallel over vertices.
+  /// y = A_G x where A_G is the graph Laplacian: laplacian_apply_block
+  /// with k = 1.
   void laplacian_apply(std::span<const double> x, std::span<double> y) const;
 
   /// Y = A_G X for k vectors stored column-major (column j occupies
-  /// [j*n, (j+1)*n)). One CSR pass serves all k columns, so the row
-  /// metadata (offsets, targets, weights) is read once instead of k times;
-  /// each column's accumulation order matches laplacian_apply exactly, so
-  /// column j of Y is bitwise identical to a single-vector apply of column
-  /// j of X (the batched-serving determinism guarantee).
+  /// [j*n, (j+1)*n)); parallel over vertices. One CSR pass serves up to
+  /// eight columns, so the row metadata (offsets, targets, weights) is read
+  /// once per chunk instead of once per column. Each column accumulates in
+  /// the same order whatever k is, so column j of Y does not depend on the
+  /// other columns or on the block width.
   void laplacian_apply_block(std::span<const double> x, std::span<double> y,
                              int k) const;
 

@@ -6,7 +6,8 @@
 // with graph Laplacians, CSR matrices and composed preconditioners. For
 // singular Laplacian systems set `project_constant`; iterates are kept
 // orthogonal to the constant vector and convergence is measured on the
-// projected residual.
+// projected residual. Each single-vector solver is the k = 1 case of the
+// blocked kernel behind batched_flexible_pcg_solve (la/cg_block.hpp).
 #pragma once
 
 #include <functional>

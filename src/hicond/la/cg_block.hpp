@@ -5,12 +5,12 @@
 // still-active columns, and the blocked preconditioner traverses the
 // multilevel hierarchy once per iteration instead of once per RHS. The
 // batching is *lockstep with per-column state*: each column carries its own
-// scalar recurrence (alpha, beta, residual norm) computed by the same la/
-// kernels in the same order as a single flexible_pcg_solve, and a column
-// that converges (or breaks down) is frozen out of subsequent block
-// applications. Column j of the result is therefore bitwise identical to
-// the vector a standalone flexible_pcg_solve on (b_j, x_j) produces -- the
-// determinism contract tests/test_serve.cpp pins at 1 and 8 threads.
+// scalar recurrence (alpha, beta, residual norm), and a column that
+// converges (or breaks down) is frozen out of subsequent block
+// applications. This is the only CG kernel: the single-vector solvers of
+// la/cg.hpp run it with k = 1, so column j of a batch is bitwise identical
+// to a standalone flexible_pcg_solve on (b_j, x_j) as long as the block
+// operators act on each column independently.
 #pragma once
 
 #include <functional>
@@ -22,15 +22,9 @@
 namespace hicond {
 
 /// Y = Op(X) for k vectors stored column-major (column j occupies
-/// [j*n, (j+1)*n) of both spans). Must agree bitwise, per column, with the
-/// operator's single-vector application for the batched-solve determinism
-/// guarantee to hold.
+/// [j*n, (j+1)*n) of both spans).
 using BlockOperator =
     std::function<void(std::span<const double>, std::span<double>, int)>;
-
-/// Wrap a single-vector operator as a (column-looping) block operator --
-/// trivially bitwise-faithful, with none of the amortization.
-[[nodiscard]] BlockOperator block_operator_from(LinearOperator op);
 
 /// Flexible PCG over k right-hand sides stored column-major in `b`; `x`
 /// holds the initial guesses on entry and the solutions on exit. Returns

@@ -68,80 +68,12 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   return s;
 }
 
-void MultilevelSteinerSolver::cycle(int level, std::span<const double> r,
-                                    std::span<double> z) const {
-  State& st = *state_;
-  // Inclusive per-level attribution; apply() is single-caller, so plain
-  // accumulation into the shared state is race-free.
-  LevelCycleStats& attribution =
-      st.cycle_stats[static_cast<std::size_t>(level)];
-  const Timer level_timer;
-  struct Accumulate {
-    const Timer& timer;
-    LevelCycleStats& stats;
-    ~Accumulate() {
-      ++stats.calls;
-      stats.seconds += timer.seconds();
-    }
-  } accumulate{level_timer, attribution};
-
-  if (level == st.hierarchy.num_levels()) {
-    if (st.coarsest_solver != nullptr) {
-      st.coarsest_solver->apply(r, z);
-    } else {
-      la::fill(z, 0.0);
-    }
-    return;
-  }
-  const HierarchyLevel& lv =
-      st.hierarchy.levels[static_cast<std::size_t>(level)];
-  const Graph& a = lv.graph;
-  const auto n = static_cast<std::size_t>(a.num_vertices());
-  const auto& inv_diag = st.inv_diag[static_cast<std::size_t>(level)];
-  const auto& assignment = lv.decomposition.assignment;
-  const auto m = static_cast<std::size_t>(lv.decomposition.num_clusters);
-
-  std::vector<double> work(n);
-  std::vector<double> residual(n);
-
-  const ChebyshevSmoother* cheb =
-      st.chebyshev[static_cast<std::size_t>(level)].get();
-  auto smooth_pass = [&](std::span<double> iterate) {
-    for (int s = 0; s < st.options.smoothing_steps; ++s) {
-      if (cheb != nullptr) {
-        cheb->smooth(r, iterate);
-      } else {
-        a.laplacian_apply(iterate, work);
-        parallel_for(n, [&](std::size_t i) {
-          iterate[i] +=
-              st.options.jacobi_weight * inv_diag[i] * (r[i] - work[i]);
-        });
-      }
-    }
-  };
-
-  // Pre-smoothing from z = 0.
-  la::fill(z, 0.0);
-  smooth_pass(z);
-  // Coarse correction on the residual. The restriction is parallel over
-  // clusters (owner-computes; see ClusterIndex).
-  a.laplacian_apply(z, work);
-  parallel_for(n, [&](std::size_t i) { residual[i] = r[i] - work[i]; });
-  std::vector<double> rc(m, 0.0);
-  st.restriction[static_cast<std::size_t>(level)].restrict_sum(residual, rc);
-  std::vector<double> zc(m, 0.0);
-  cycle(level + 1, rc, zc);
-  parallel_for(n, [&](std::size_t v) {
-    z[v] += zc[static_cast<std::size_t>(assignment[v])];
-  });
-  // Post-smoothing (symmetric to the pre-smoothing).
-  smooth_pass(z);
-}
-
 void MultilevelSteinerSolver::cycle_block(int level,
                                           std::span<const double> r,
                                           std::span<double> z, int k) const {
   State& st = *state_;
+  // Inclusive per-level attribution; apply_block() is single-caller, so
+  // plain accumulation into the shared state is race-free.
   LevelCycleStats& attribution =
       st.cycle_stats[static_cast<std::size_t>(level)];
   const Timer level_timer;
@@ -156,15 +88,7 @@ void MultilevelSteinerSolver::cycle_block(int level,
 
   const auto uk = static_cast<std::size_t>(k);
   if (level == st.hierarchy.num_levels()) {
-    const std::size_t nc = r.size() / uk;
-    for (std::size_t j = 0; j < uk; ++j) {
-      if (st.coarsest_solver != nullptr) {
-        st.coarsest_solver->apply(r.subspan(j * nc, nc),
-                                  z.subspan(j * nc, nc));
-      } else {
-        la::fill(z.subspan(j * nc, nc), 0.0);
-      }
-    }
+    coarsest_solve(r, z, k);
     return;
   }
   const HierarchyLevel& lv =
@@ -178,9 +102,8 @@ void MultilevelSteinerSolver::cycle_block(int level,
   std::vector<double> work(uk * n);
   std::vector<double> residual(uk * n);
 
-  // Per column this is exactly cycle(): the blocked SpMV matches
-  // laplacian_apply bitwise per column, and every elementwise update below
-  // evaluates the same expression on the column's own slots.
+  // The SpMVs are blocked; every other update runs column by column, so
+  // each column's arithmetic is independent of the others and of k.
   const ChebyshevSmoother* cheb =
       st.chebyshev[static_cast<std::size_t>(level)].get();
   auto smooth_pass = [&](std::span<double> iterate) {
@@ -189,107 +112,104 @@ void MultilevelSteinerSolver::cycle_block(int level,
         for (std::size_t j = 0; j < uk; ++j) {
           cheb->smooth(r.subspan(j * n, n), iterate.subspan(j * n, n));
         }
-      } else {
-        a.laplacian_apply_block(iterate, work, k);
+        continue;
+      }
+      a.laplacian_apply_block(iterate, work, k);
+      for (std::size_t j = 0; j < uk; ++j) {
+        const auto rj = r.subspan(j * n, n);
+        const auto wj = std::span<const double>(work).subspan(j * n, n);
+        auto zj = iterate.subspan(j * n, n);
         parallel_for(n, [&](std::size_t i) {
-          for (std::size_t j = 0; j < uk; ++j) {
-            iterate[j * n + i] += st.options.jacobi_weight * inv_diag[i] *
-                                  (r[j * n + i] - work[j * n + i]);
-          }
+          zj[i] += st.options.jacobi_weight * inv_diag[i] * (rj[i] - wj[i]);
         });
       }
     }
   };
 
+  // Pre-smoothing from z = 0.
   la::fill(z, 0.0);
   smooth_pass(z);
+  // Coarse correction on the residual. The restriction is parallel over
+  // clusters (owner-computes; see ClusterIndex).
   a.laplacian_apply_block(z, work, k);
-  parallel_for(n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      residual[j * n + i] = r[j * n + i] - work[j * n + i];
-    }
-  });
   std::vector<double> rc(uk * m, 0.0);
   for (std::size_t j = 0; j < uk; ++j) {
+    const auto rj = r.subspan(j * n, n);
+    const auto wj = std::span<const double>(work).subspan(j * n, n);
+    const auto resj = std::span(residual).subspan(j * n, n);
+    parallel_for(n, [&](std::size_t i) { resj[i] = rj[i] - wj[i]; });
     st.restriction[static_cast<std::size_t>(level)].restrict_sum(
-        std::span<const double>(residual).subspan(j * n, n),
-        std::span(rc).subspan(j * m, m));
+        resj, std::span(rc).subspan(j * m, m));
   }
   std::vector<double> zc(uk * m, 0.0);
   cycle_block(level + 1, rc, zc, k);
-  parallel_for(n, [&](std::size_t v) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      z[j * n + v] += zc[j * m + static_cast<std::size_t>(
-                                     assignment[v])];
-    }
-  });
+  for (std::size_t j = 0; j < uk; ++j) {
+    auto zj = z.subspan(j * n, n);
+    const auto zcj = std::span<const double>(zc).subspan(j * m, m);
+    parallel_for(n, [&](std::size_t v) {
+      zj[v] += zcj[static_cast<std::size_t>(assignment[v])];
+    });
+  }
+  // Post-smoothing (symmetric to the pre-smoothing).
   smooth_pass(z);
+}
+
+void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
+                                             std::span<double> z,
+                                             int k) const {
+  const State& st = *state_;
+  const auto uk = static_cast<std::size_t>(k);
+  const std::size_t n = r.size() / uk;
+  for (std::size_t j = 0; j < uk; ++j) {
+    if (st.coarsest_solver != nullptr) {
+      st.coarsest_solver->apply(r.subspan(j * n, n), z.subspan(j * n, n));
+    } else {
+      la::fill(z.subspan(j * n, n), 0.0);
+    }
+  }
 }
 
 void MultilevelSteinerSolver::apply_block(std::span<const double> r,
                                           std::span<double> z, int k) const {
-  HICOND_SPAN("multilevel.apply_block");
+  HICOND_SPAN("multilevel.apply");
   HICOND_CHECK(k >= 1, "block width must be positive");
   HICOND_CHECK(r.size() == z.size(), "block size mismatch");
   HICOND_CHECK(r.size() % static_cast<std::size_t>(k) == 0,
                "block size not a multiple of k");
   const State& st = *state_;
-  const auto uk = static_cast<std::size_t>(k);
-  const std::size_t n = r.size() / uk;
   if (st.hierarchy.num_levels() == 0) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      if (st.coarsest_solver != nullptr) {
-        st.coarsest_solver->apply(r.subspan(j * n, n), z.subspan(j * n, n));
-      } else {
-        la::fill(z.subspan(j * n, n), 0.0);
-      }
-    }
+    coarsest_solve(r, z, k);
     return;
   }
+  // First cycle from zero initial guess.
   cycle_block(0, r, z, k);
-  const Graph& a = st.hierarchy.levels.front().graph;
-  std::vector<double> work(r.size());
-  std::vector<double> correction(r.size());
-  for (int c = 1; c < st.options.cycles; ++c) {
-    a.laplacian_apply_block(z, work, k);
-    parallel_for(work.size(), [&](std::size_t i) { work[i] = r[i] - work[i]; });
-    cycle_block(0, work, correction, k);
-    la::axpy(1.0, correction, z);
+  // Additional cycles refine on the residual.
+  if (st.options.cycles > 1) {
+    const Graph& a = st.hierarchy.levels.front().graph;
+    std::vector<double> work(r.size());
+    std::vector<double> correction(r.size());
+    for (int c = 1; c < st.options.cycles; ++c) {
+      a.laplacian_apply_block(z, work, k);
+      parallel_for(work.size(),
+                   [&](std::size_t i) { work[i] = r[i] - work[i]; });
+      cycle_block(0, work, correction, k);
+      la::axpy(1.0, correction, z);
+    }
   }
+  const auto uk = static_cast<std::size_t>(k);
+  const std::size_t n = r.size() / uk;
   for (std::size_t j = 0; j < uk; ++j) la::remove_mean(z.subspan(j * n, n));
 }
 
 void MultilevelSteinerSolver::apply(std::span<const double> r,
                                     std::span<double> z) const {
-  HICOND_SPAN("multilevel.apply");
-  const State& st = *state_;
-  if (st.hierarchy.num_levels() == 0) {
-    if (st.coarsest_solver != nullptr) {
-      st.coarsest_solver->apply(r, z);
-    } else {
-      la::fill(z, 0.0);
-    }
-    return;
-  }
-  // First cycle from zero initial guess.
-  cycle(0, r, z);
-  // Additional cycles refine on the residual.
-  const Graph& a = st.hierarchy.levels.front().graph;
-  std::vector<double> work(r.size());
-  std::vector<double> correction(r.size());
-  for (int c = 1; c < st.options.cycles; ++c) {
-    a.laplacian_apply(z, work);
-    parallel_for(work.size(), [&](std::size_t i) { work[i] = r[i] - work[i]; });
-    cycle(0, work, correction);
-    la::axpy(1.0, correction, z);
-  }
-  la::remove_mean(z);
+  apply_block(r, z, 1);
 }
 
 LinearOperator MultilevelSteinerSolver::as_operator() const {
   auto self = *this;  // shares state_
   return [self](std::span<const double> r, std::span<double> z) {
-    self.apply(r, z);
+    self.apply_block(r, z, 1);
   };
 }
 

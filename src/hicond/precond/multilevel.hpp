@@ -59,18 +59,20 @@ class MultilevelSteinerSolver {
       LaminarHierarchy hierarchy, const MultilevelOptions& options,
       const MultilevelSteinerSolver& reuse);
 
-  /// z = M^{-1} r (one or more symmetric V-cycles starting from z = 0).
+  /// z = M^{-1} r: apply_block with k = 1.
   void apply(std::span<const double> r, std::span<double> z) const;
 
   /// Z = M^{-1} R for k residuals stored column-major (column j occupies
-  /// [j*n, (j+1)*n)). One hierarchy traversal serves all k columns: each
-  /// level's graph, inverse diagonal and restriction index are walked once
-  /// per cycle instead of once per RHS, with the SpMVs blocked through
-  /// Graph::laplacian_apply_block. Column j is bitwise identical to
-  /// apply(r_j, z_j) -- the serving layer's batching contract.
+  /// [j*n, (j+1)*n)): one or more symmetric V-cycles starting from Z = 0.
+  /// One hierarchy traversal serves all k columns: each level's graph,
+  /// inverse diagonal and restriction index are walked once per cycle
+  /// instead of once per RHS, with the SpMVs blocked through
+  /// Graph::laplacian_apply_block. Every other update runs column by
+  /// column, so column j does not depend on the other columns or on k.
   void apply_block(std::span<const double> r, std::span<double> z,
                    int k) const;
 
+  /// apply_block as a single-vector (k = 1) and a block operator.
   [[nodiscard]] LinearOperator as_operator() const;
   [[nodiscard]] BlockOperator as_block_operator() const;
 
@@ -83,7 +85,7 @@ class MultilevelSteinerSolver {
     return state_->hierarchy;
   }
 
-  /// Wall time spent per level across every apply() so far: entries
+  /// Wall time spent per level across every apply_block() so far: entries
   /// [0, num_levels()) are the V-cycle levels, the last entry is the
   /// coarsest direct solve. Updated by the applying thread only; read it
   /// between solves, not concurrently with one.
@@ -113,9 +115,11 @@ class MultilevelSteinerSolver {
       LaminarHierarchy hierarchy, const MultilevelOptions& options,
       const State* reuse);
 
-  void cycle(int level, std::span<const double> r, std::span<double> z) const;
   void cycle_block(int level, std::span<const double> r, std::span<double> z,
                    int k) const;
+  /// Exact coarsest-level solve, one column at a time.
+  void coarsest_solve(std::span<const double> r, std::span<double> z,
+                      int k) const;
 
   std::shared_ptr<State> state_;
 };

@@ -47,31 +47,13 @@ LaplacianSolver::LaplacianSolver(Graph g, LaminarHierarchy hierarchy,
 
 SolveStats LaplacianSolver::solve(std::span<const double> b,
                                   std::span<double> x) const {
-  HICOND_SPAN("solver.solve");
-  const Graph& g = *graph_;
-  HICOND_CHECK(b.size() == static_cast<std::size_t>(g.num_vertices()),
-               "rhs size mismatch");
-  HICOND_CHECK(x.size() == b.size(), "x size mismatch");
-  auto a = [&g](std::span<const double> in, std::span<double> out) {
-    g.laplacian_apply(in, out);
-  };
-  const Timer solve_timer;
-  SolveStats stats =
-      flexible_pcg_solve(a, solver_->as_operator(), b, x,
-                         {.max_iterations = options_.max_iterations,
-                          .rel_tolerance = options_.rel_tolerance,
-                          .record_history = true,
-                          .project_constant = true});
-  solve_seconds_total_ += solve_timer.seconds();
-  ++num_solves_;
-  last_stats_ = stats;
-  return stats;
+  return solve_batch(b, x, 1)[0];
 }
 
 std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
                                                      std::span<double> x,
                                                      int k) const {
-  HICOND_SPAN("solver.solve_batch");
+  HICOND_SPAN("solver.solve");
   const Graph& g = *graph_;
   HICOND_CHECK(k >= 1, "batched solve needs at least one right-hand side");
   HICOND_CHECK(b.size() == static_cast<std::size_t>(g.num_vertices()) *

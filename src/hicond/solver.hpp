@@ -50,7 +50,8 @@ class LaplacianSolver {
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
   /// Non-throwing variant: returns the iteration stats, writes into x
-  /// (which also provides the initial guess).
+  /// (which also provides the initial guess). This is solve_batch with
+  /// k = 1.
   SolveStats solve(std::span<const double> b, std::span<double> x) const;
 
   /// Batched solve: k right-hand sides stored column-major in `b` (column j

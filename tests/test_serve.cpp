@@ -38,7 +38,7 @@ using serve::HierarchyCache;
 using serve::InProcessClient;
 using serve::ServerOptions;
 
-constexpr int kThreadMatrix[] = {1, 8};
+constexpr int kThreadMatrix[] = {1, 4, 8};
 
 template <typename Fn>
 auto with_thread_count(int threads, Fn&& fn) {
@@ -201,50 +201,88 @@ TEST(ServeCache, PerEntryStatsTrackHitsAndRecency) {
 // --- batched solves: bitwise equal to sequential, per thread count --------
 
 TEST(ServeBatch, BatchedMatchesSequentialBitwiseAcrossThreadCounts) {
-  const Graph g = test_graph();
-  const vidx n = g.num_vertices();
-  constexpr int kRhs = 5;
+  // test_graph() is solved directly at its coarsest level; the 32x32 grid
+  // builds a two-level hierarchy, so its solves run the smoothers, the
+  // restriction and the recursion of the V-cycle.
+  const Graph multilevel_graph =
+      gen::grid2d(32, 32, gen::WeightSpec::uniform(0.5, 2.0), 5);
+  ASSERT_GE(LaplacianSolver(multilevel_graph).num_levels(), 2);
+  constexpr std::size_t kRandom = 5;
+  const std::size_t zero_col = kRandom;
+  const std::size_t early_col = kRandom + 1;
 
-  std::vector<std::vector<double>> rhs;
-  rhs.reserve(kRhs);
-  for (int j = 0; j < kRhs; ++j) {
-    rhs.push_back(mean_free_rhs(n, 100 + static_cast<std::uint64_t>(j)));
-  }
+  for (const Graph& g : {test_graph(), multilevel_graph}) {
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    // Random columns, then a zero column (converged at iteration 0) and
+    // L(L x0) for a random x0, which sits in the high end of the spectrum
+    // the smoother removes and so converges early: columns freeze at
+    // different iterations, so the active-column compaction runs too.
+    std::vector<std::vector<double>> rhs;
+    for (std::size_t j = 0; j < kRandom; ++j) {
+      rhs.push_back(mean_free_rhs(g.num_vertices(), 100 + j));
+    }
+    rhs.emplace_back(n, 0.0);
+    const std::vector<double> x0 = mean_free_rhs(g.num_vertices(), 7);
+    std::vector<double> lx0(n);
+    std::vector<double> early(n);
+    g.laplacian_apply(x0, lx0);
+    g.laplacian_apply(lx0, early);
+    rhs.push_back(std::move(early));
 
-  std::vector<std::uint64_t> reference_hashes;
-  for (const int threads : kThreadMatrix) {
-    with_thread_count(threads, [&] {
-      const LaplacianSolver solver(g);
-      // Sequential baseline: k independent single-vector solves.
-      std::vector<std::vector<double>> x_seq;
-      std::vector<SolveStats> s_seq;
-      for (int j = 0; j < kRhs; ++j) {
-        std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-        s_seq.push_back(solver.solve(rhs[static_cast<std::size_t>(j)], x));
-        x_seq.push_back(std::move(x));
+    for (const SmootherKind smoother :
+         {SmootherKind::jacobi, SmootherKind::chebyshev}) {
+      for (const int cycles : {1, 2}) {
+        LaplacianSolverOptions options;
+        options.multilevel.smoother = smoother;
+        options.multilevel.cycles = cycles;
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " smoother=" << static_cast<int>(smoother)
+                     << " cycles=" << cycles);
+        std::vector<std::uint64_t> reference_hashes;
+        for (const int threads : kThreadMatrix) {
+          with_thread_count(threads, [&] {
+            const LaplacianSolver solver(g, options);
+            // Sequential baseline: independent single-vector solves.
+            std::vector<std::vector<double>> x_seq;
+            std::vector<SolveStats> s_seq;
+            for (const auto& b : rhs) {
+              std::vector<double> x(n, 0.0);
+              s_seq.push_back(solver.solve(b, x));
+              x_seq.push_back(std::move(x));
+            }
+            EXPECT_EQ(s_seq[zero_col].iterations, 0);
+            if (solver.num_levels() > 0) {
+              for (std::size_t j = 0; j < kRandom; ++j) {
+                EXPECT_LT(s_seq[early_col].iterations, s_seq[j].iterations)
+                    << "rhs " << j;
+              }
+            }
+            const serve::BatchSolveResult batch =
+                serve::batch_solve(solver, rhs);
+            ASSERT_EQ(batch.x.size(), rhs.size());
+            for (std::size_t j = 0; j < rhs.size(); ++j) {
+              EXPECT_TRUE(batch.stats[j].converged) << "rhs " << j;
+              EXPECT_EQ(batch.stats[j].iterations, s_seq[j].iterations)
+                  << "rhs " << j;
+              EXPECT_EQ(batch.x[j], x_seq[j]) << "rhs " << j
+                                              << " not bitwise";
+              EXPECT_EQ(batch.solution_hash[j],
+                        serve::solution_fingerprint(x_seq[j]));
+              EXPECT_EQ(batch.stats[j].residual_history,
+                        s_seq[j].residual_history)
+                  << "rhs " << j;
+            }
+            if (reference_hashes.empty()) {
+              reference_hashes = batch.solution_hash;
+            } else {
+              // Thread-count invariance on top of batch/sequential equality.
+              EXPECT_EQ(batch.solution_hash, reference_hashes)
+                  << "threads=" << threads;
+            }
+          });
+        }
       }
-      const serve::BatchSolveResult batch = serve::batch_solve(solver, rhs);
-      ASSERT_EQ(batch.x.size(), static_cast<std::size_t>(kRhs));
-      for (int j = 0; j < kRhs; ++j) {
-        const auto ju = static_cast<std::size_t>(j);
-        EXPECT_TRUE(batch.stats[ju].converged) << "rhs " << j;
-        EXPECT_EQ(batch.stats[ju].iterations, s_seq[ju].iterations)
-            << "rhs " << j;
-        EXPECT_EQ(batch.x[ju], x_seq[ju]) << "rhs " << j << " not bitwise";
-        EXPECT_EQ(batch.solution_hash[ju],
-                  serve::solution_fingerprint(x_seq[ju]));
-        EXPECT_EQ(batch.stats[ju].residual_history,
-                  s_seq[ju].residual_history)
-            << "rhs " << j;
-      }
-      if (reference_hashes.empty()) {
-        reference_hashes = batch.solution_hash;
-      } else {
-        // Thread-count invariance on top of batch/sequential equality.
-        EXPECT_EQ(batch.solution_hash, reference_hashes)
-            << "threads=" << threads;
-      }
-    });
+    }
   }
 }
 

@@ -43,7 +43,8 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       tests/ are exempt (sleep_for in timer tests).
 
   float-equal         `==` / `!=` against a floating-point literal is
-                      forbidden in library, bench, example and fuzz code;
+                      forbidden in library, bench, benchmark, example and
+                      fuzz code;
                       use util/float_eq.hpp (exact_zero, exactly_equal,
                       approx_equal).  Genuinely exact comparisons carry a
                       `// float-eq: exact` annotation.  tests/ are exempt
@@ -223,7 +224,7 @@ def main() -> int:
         return 2
 
     scan_dirs = [src]
-    for extra in ("tests", "bench", "examples", "fuzz"):
+    for extra in ("tests", "bench", "benchmark", "examples", "fuzz"):
         d = root / extra
         if d.is_dir():
             scan_dirs.append(d)

@@ -119,8 +119,8 @@ fi
 
 # --- project rules --------------------------------------------------------
 hash="$(stage_hash "${repo_root}/src" "${repo_root}/tests" \
-  "${repo_root}/bench" "${repo_root}/examples" "${repo_root}/fuzz" \
-  "${repo_root}/tools/check_project_rules.py")"
+  "${repo_root}/bench" "${repo_root}/benchmark" "${repo_root}/examples" \
+  "${repo_root}/fuzz" "${repo_root}/tools/check_project_rules.py")"
 if stage_fresh project-rules "${hash}"; then
   echo "lint.sh: project-rule inputs unchanged since last pass; skipping" \
        "(HICOND_LINT_NO_CACHE=1 to force)."
