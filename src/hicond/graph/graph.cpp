@@ -1,8 +1,10 @@
 #include "hicond/graph/graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "hicond/graph/builder.hpp"
 #include "hicond/util/parallel.hpp"
@@ -174,14 +176,36 @@ void Graph::laplacian_apply(std::span<const double> x,
 
 namespace {
 
-/// Y = A X for the W columns starting at x and y (column stride n). W is a
+/// What the SpMV kernel stores once a vertex's accumulator acc = (A X)[v]
+/// is complete.
+enum class Epilogue {
+  product,   ///< y = acc
+  residual,  ///< y = r - acc
+  jacobi,    ///< y = x + (omega * inv_diag) * (r - acc)
+};
+
+/// The kernel's inputs: X and the output Y, plus the R, D^-1 and omega that
+/// the residual and Jacobi epilogues read. Column pointers are advanced per
+/// chunk; inv_diag is per vertex and shared by every column.
+struct ColumnsArgs {
+  const double* x;
+  double* y;
+  const double* r;
+  const double* inv_diag;
+  double omega;
+};
+
+/// The W columns starting at args.x/args.y (column stride n). W is a
 /// compile-time constant so the accumulators live in registers; each
-/// column accumulates the vol term first, then the arcs in CSR order.
-template <std::size_t W>
+/// column accumulates the vol term first, then the arcs in CSR order, and
+/// only the store differs between epilogues -- so every form sees the same
+/// acc bits.
+template <Epilogue E, std::size_t W>
 void laplacian_apply_columns(const eidx* offsets, const vidx* targets,
                              const double* weights, const double* vol,
-                             std::size_t n, const double* x, double* y) {
+                             std::size_t n, ColumnsArgs args) {
   parallel_for(n, [=](std::size_t v) {
+    const double* x = args.x;
     double acc[W];
     for (std::size_t j = 0; j < W; ++j) acc[j] = vol[v] * x[j * n + v];
     for (eidx a = offsets[v]; a < offsets[v + 1]; ++a) {
@@ -189,40 +213,97 @@ void laplacian_apply_columns(const eidx* offsets, const vidx* targets,
       const auto t = static_cast<std::size_t>(targets[a]);
       for (std::size_t j = 0; j < W; ++j) acc[j] -= w * x[j * n + t];
     }
-    for (std::size_t j = 0; j < W; ++j) y[j * n + v] = acc[j];
+    for (std::size_t j = 0; j < W; ++j) {
+      const std::size_t i = j * n + v;
+      if constexpr (E == Epilogue::product) {
+        args.y[i] = acc[j];
+      } else if constexpr (E == Epilogue::residual) {
+        args.y[i] = args.r[i] - acc[j];
+      } else {
+        args.y[i] =
+            x[i] + args.omega * args.inv_diag[v] * (args.r[i] - acc[j]);
+      }
+    }
   });
 }
 
 using ColumnsKernel = void (*)(const eidx*, const vidx*, const double*,
-                               const double*, std::size_t, const double*,
-                               double*);
+                               const double*, std::size_t, ColumnsArgs);
 
 /// Entry W-1 applies W columns; the widest entry sets the chunk width.
-constexpr ColumnsKernel kColumnsKernels[] = {
-    laplacian_apply_columns<1>, laplacian_apply_columns<2>,
-    laplacian_apply_columns<3>, laplacian_apply_columns<4>,
-    laplacian_apply_columns<5>, laplacian_apply_columns<6>,
-    laplacian_apply_columns<7>, laplacian_apply_columns<8>};
+template <Epilogue E, std::size_t... W>
+constexpr std::array<ColumnsKernel, sizeof...(W)> columns_kernels(
+    std::index_sequence<W...> /*widths*/) {
+  return {laplacian_apply_columns<E, W + 1>...};
+}
+
+template <Epilogue E>
+constexpr auto kColumnsKernels =
+    columns_kernels<E>(std::make_index_sequence<8>{});
+
+/// Run the k columns in chunks: each chunk bounds the per-vertex
+/// accumulator array, and within a chunk the arc metadata is loaded once
+/// and fans out to every column.
+template <Epilogue E>
+void apply_in_chunks(const eidx* offsets, const vidx* targets,
+                     const double* weights, const double* vol, std::size_t n,
+                     int k, ColumnsArgs args) {
+  constexpr int kChunk = static_cast<int>(kColumnsKernels<E>.size());
+  for (int j0 = 0; j0 < k; j0 += kChunk) {
+    const auto offset = static_cast<std::size_t>(j0) * n;
+    ColumnsArgs chunk = args;
+    chunk.x += offset;
+    chunk.y += offset;
+    if (chunk.r != nullptr) chunk.r += offset;
+    const auto width = static_cast<std::size_t>(std::min(kChunk, k - j0));
+    kColumnsKernels<E>[width - 1](offsets, targets, weights, vol, n, chunk);
+  }
+}
 
 }  // namespace
 
-void Graph::laplacian_apply_block(std::span<const double> x,
-                                  std::span<double> y, int k) const {
+void Graph::check_block(std::span<const double> x, std::span<const double> y,
+                        int k) const {
   const auto n = static_cast<std::size_t>(n_);
   HICOND_CHECK(k >= 1, "block width must be positive");
   HICOND_CHECK(x.size() == n * static_cast<std::size_t>(k),
                "x block size mismatch");
   HICOND_CHECK(y.size() == n * static_cast<std::size_t>(k),
                "y block size mismatch");
-  // Column chunks bound the per-vertex accumulator array; within a chunk the
-  // arc metadata is loaded once and fans out to every column.
-  constexpr int kChunk = static_cast<int>(std::size(kColumnsKernels));
-  for (int j0 = 0; j0 < k; j0 += kChunk) {
-    const auto offset = static_cast<std::size_t>(j0) * n;
-    kColumnsKernels[std::min(kChunk, k - j0) - 1](
-        offsets_.data(), targets_.data(), weights_.data(), vol_.data(), n,
-        x.data() + offset, y.data() + offset);
-  }
+}
+
+void Graph::laplacian_apply_block(std::span<const double> x,
+                                  std::span<double> y, int k) const {
+  check_block(x, y, k);
+  apply_in_chunks<Epilogue::product>(
+      offsets_.data(), targets_.data(), weights_.data(), vol_.data(),
+      static_cast<std::size_t>(n_), k,
+      {x.data(), y.data(), nullptr, nullptr, 0.0});
+}
+
+void Graph::laplacian_residual_block(std::span<const double> x,
+                                     std::span<const double> r,
+                                     std::span<double> y, int k) const {
+  check_block(x, y, k);
+  HICOND_CHECK(r.size() == y.size(), "r block size mismatch");
+  apply_in_chunks<Epilogue::residual>(
+      offsets_.data(), targets_.data(), weights_.data(), vol_.data(),
+      static_cast<std::size_t>(n_), k,
+      {x.data(), y.data(), r.data(), nullptr, 0.0});
+}
+
+void Graph::jacobi_sweep_block(std::span<const double> x,
+                               std::span<const double> r,
+                               std::span<const double> inv_diag, double omega,
+                               std::span<double> y, int k) const {
+  check_block(x, y, k);
+  HICOND_CHECK(r.size() == y.size(), "r block size mismatch");
+  HICOND_CHECK(inv_diag.size() == static_cast<std::size_t>(n_),
+               "inverse diagonal size mismatch");
+  apply_in_chunks<Epilogue::jacobi>(
+      offsets_.data(), targets_.data(), weights_.data(), vol_.data(),
+      static_cast<std::size_t>(n_), k,
+      {x.data(), y.data(), r.data(), inv_diag.data(), omega});
 }
 
 double Graph::laplacian_quadratic(std::span<const double> x) const {

@@ -135,8 +135,26 @@ class Graph {
   /// once per chunk instead of once per column. Each column accumulates in
   /// the same order whatever k is, so column j of Y does not depend on the
   /// other columns or on the block width.
+  ///
+  /// The two methods below are the same CSR pass with a different store
+  /// once a vertex's (A_G X)[v] is complete: their results are bitwise
+  /// equal to laplacian_apply_block followed by the elementwise update,
+  /// without the intermediate block or the second pass over it. In all
+  /// three, Y must not overlap X.
   void laplacian_apply_block(std::span<const double> x, std::span<double> y,
                              int k) const;
+
+  /// Y = R - A_G X: the residual of the block system A_G X = R. R may be Y.
+  void laplacian_residual_block(std::span<const double> x,
+                                std::span<const double> r, std::span<double> y,
+                                int k) const;
+
+  /// Y = X + (omega * inv_diag) * (R - A_G X): one damped-Jacobi sweep on
+  /// A_G X = R from X, written to a separate Y. `inv_diag` has one entry per
+  /// vertex (0 leaves that vertex's X unchanged) and serves every column.
+  void jacobi_sweep_block(std::span<const double> x, std::span<const double> r,
+                          std::span<const double> inv_diag, double omega,
+                          std::span<double> y, int k) const;
 
   /// Quadratic form x' A_G x = sum over edges of w(u,v) (x_u - x_v)^2.
   [[nodiscard]] double laplacian_quadratic(std::span<const double> x) const;
@@ -144,6 +162,9 @@ class Graph {
  private:
   friend class GraphBuilder;
   void finalize_volumes();
+  /// Shape checks shared by the block SpMV forms.
+  void check_block(std::span<const double> x, std::span<const double> y,
+                   int k) const;
   void validate_structure() const;
 
   vidx n_ = 0;

@@ -68,12 +68,39 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   return s;
 }
 
+/// Scratch of one operator: per level one n*k vector (the residual, then
+/// the prolonged iterate, and the other half of the Jacobi ping-pong) and
+/// the restricted residual and coarse correction (m*k each), plus the
+/// refinement residual and correction of cycles > 1 at level 0. Buffers grow
+/// to the widest k seen and are never assumed to hold zeros.
+struct MultilevelSteinerSolver::Workspace {
+  struct Level {
+    std::vector<double> fine;
+    std::vector<double> rc;
+    std::vector<double> zc;
+  };
+  std::vector<Level> levels;
+  std::vector<double> refine_residual;
+  std::vector<double> refine_correction;
+};
+
+namespace {
+
+/// The first `size` entries of `buf`, growing it if it is shorter.
+std::span<double> take(std::vector<double>& buf, std::size_t size) {
+  if (buf.size() < size) buf.resize(size);
+  return {buf.data(), size};
+}
+
+}  // namespace
+
 void MultilevelSteinerSolver::cycle_block(int level,
                                           std::span<const double> r,
-                                          std::span<double> z, int k) const {
+                                          std::span<double> z, int k,
+                                          Workspace& ws) const {
   State& st = *state_;
-  // Inclusive per-level attribution; apply_block() is single-caller, so
-  // plain accumulation into the shared state is race-free.
+  // Inclusive per-level attribution; an operator serves one caller at a
+  // time, so plain accumulation into the shared state is race-free.
   LevelCycleStats& attribution =
       st.cycle_stats[static_cast<std::size_t>(level)];
   const Timer level_timer;
@@ -91,67 +118,83 @@ void MultilevelSteinerSolver::cycle_block(int level,
     coarsest_solve(r, z, k);
     return;
   }
-  const HierarchyLevel& lv =
-      st.hierarchy.levels[static_cast<std::size_t>(level)];
+  const auto l = static_cast<std::size_t>(level);
+  const HierarchyLevel& lv = st.hierarchy.levels[l];
   const Graph& a = lv.graph;
   const auto n = static_cast<std::size_t>(a.num_vertices());
-  const auto& inv_diag = st.inv_diag[static_cast<std::size_t>(level)];
+  const auto& inv_diag = st.inv_diag[l];
   const auto& assignment = lv.decomposition.assignment;
   const auto m = static_cast<std::size_t>(lv.decomposition.num_clusters);
+  const double omega = st.options.jacobi_weight;
+  const int steps = st.options.smoothing_steps;
+  Workspace::Level& scratch = ws.levels[l];
+  const std::span<double> fine = take(scratch.fine, uk * n);
+  const std::span<double> rc = take(scratch.rc, uk * m);
+  const std::span<double> zc = take(scratch.zc, uk * m);
 
-  std::vector<double> work(uk * n);
-  std::vector<double> residual(uk * n);
-
-  // The SpMVs are blocked; every other update runs column by column, so
-  // each column's arithmetic is independent of the others and of k.
-  const ChebyshevSmoother* cheb =
-      st.chebyshev[static_cast<std::size_t>(level)].get();
-  auto smooth_pass = [&](std::span<double> iterate) {
-    for (int s = 0; s < st.options.smoothing_steps; ++s) {
-      if (cheb != nullptr) {
-        for (std::size_t j = 0; j < uk; ++j) {
-          cheb->smooth(r.subspan(j * n, n), iterate.subspan(j * n, n));
-        }
-        continue;
-      }
-      a.laplacian_apply_block(iterate, work, k);
+  // Every update runs per column in a fixed order, so column j's bits do
+  // not depend on the other columns or on k. The Jacobi path makes two
+  // SpMV passes per level (for one sweep each side): the pre-smoothing
+  // sweep from z = 0 needs none (A 0 is exactly +0), the residual and the
+  // post-smoothing sweep each fuse their elementwise update into the SpMV.
+  const ChebyshevSmoother* cheb = st.chebyshev[l].get();
+  const bool jacobi = cheb == nullptr && steps > 0;
+  // `count` fused sweeps from the iterate in `cur`, ping-ponging with
+  // `spare` (the sweep reads neighbours, so it cannot run in place); the
+  // result ends in z.
+  auto jacobi_sweeps = [&](std::span<double> cur, std::span<double> spare,
+                           int count) {
+    for (int s = 0; s < count; ++s) {
+      a.jacobi_sweep_block(cur, r, inv_diag, omega, spare, k);
+      std::swap(cur, spare);
+    }
+    if (cur.data() != z.data()) la::copy(cur, z);
+  };
+  auto chebyshev_sweeps = [&] {
+    if (cheb == nullptr) return;
+    for (int s = 0; s < steps; ++s) {
       for (std::size_t j = 0; j < uk; ++j) {
-        const auto rj = r.subspan(j * n, n);
-        const auto wj = std::span<const double>(work).subspan(j * n, n);
-        auto zj = iterate.subspan(j * n, n);
-        parallel_for(n, [&](std::size_t i) {
-          zj[i] += st.options.jacobi_weight * inv_diag[i] * (rj[i] - wj[i]);
-        });
+        cheb->smooth(r.subspan(j * n, n), z.subspan(j * n, n));
       }
     }
   };
 
-  // Pre-smoothing from z = 0.
-  la::fill(z, 0.0);
-  smooth_pass(z);
+  // Pre-smoothing from z = 0. The first Jacobi sweep is z + w D^-1 (r - A z)
+  // with z = 0 and A z = +0 written out, which keeps the sweep's bits.
+  if (jacobi) {
+    parallel_for(n, [&](std::size_t v) {
+      for (std::size_t j = 0; j < uk; ++j) {
+        const std::size_t i = j * n + v;
+        z[i] = 0.0 + omega * inv_diag[v] * (r[i] - 0.0);
+      }
+    });
+    jacobi_sweeps(z, fine, steps - 1);
+  } else {
+    la::fill(z, 0.0);
+    chebyshev_sweeps();
+  }
   // Coarse correction on the residual. The restriction is parallel over
   // clusters (owner-computes; see ClusterIndex).
-  a.laplacian_apply_block(z, work, k);
-  std::vector<double> rc(uk * m, 0.0);
+  a.laplacian_residual_block(z, r, fine, k);
   for (std::size_t j = 0; j < uk; ++j) {
-    const auto rj = r.subspan(j * n, n);
-    const auto wj = std::span<const double>(work).subspan(j * n, n);
-    const auto resj = std::span(residual).subspan(j * n, n);
-    parallel_for(n, [&](std::size_t i) { resj[i] = rj[i] - wj[i]; });
-    st.restriction[static_cast<std::size_t>(level)].restrict_sum(
-        resj, std::span(rc).subspan(j * m, m));
+    st.restriction[l].restrict_sum(fine.subspan(j * n, n),
+                                   rc.subspan(j * m, m));
   }
-  std::vector<double> zc(uk * m, 0.0);
-  cycle_block(level + 1, rc, zc, k);
-  for (std::size_t j = 0; j < uk; ++j) {
-    auto zj = z.subspan(j * n, n);
-    const auto zcj = std::span<const double>(zc).subspan(j * m, m);
-    parallel_for(n, [&](std::size_t v) {
-      zj[v] += zcj[static_cast<std::size_t>(assignment[v])];
-    });
+  cycle_block(level + 1, rc, zc, k, ws);
+  // Prolongation, then post-smoothing (symmetric to the pre-smoothing). The
+  // Jacobi path prolongs into `fine` so its first sweep lands back in z.
+  const std::span<double> prolonged = jacobi ? fine : z;
+  parallel_for(n, [&](std::size_t v) {
+    const auto c = static_cast<std::size_t>(assignment[v]);
+    for (std::size_t j = 0; j < uk; ++j) {
+      prolonged[j * n + v] = z[j * n + v] + zc[j * m + c];
+    }
+  });
+  if (jacobi) {
+    jacobi_sweeps(fine, z, steps);
+  } else {
+    chebyshev_sweeps();
   }
-  // Post-smoothing (symmetric to the pre-smoothing).
-  smooth_pass(z);
 }
 
 void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
@@ -171,6 +214,13 @@ void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
 
 void MultilevelSteinerSolver::apply_block(std::span<const double> r,
                                           std::span<double> z, int k) const {
+  Workspace ws;
+  apply_block(r, z, k, ws);
+}
+
+void MultilevelSteinerSolver::apply_block(std::span<const double> r,
+                                          std::span<double> z, int k,
+                                          Workspace& ws) const {
   HICOND_SPAN("multilevel.apply");
   HICOND_CHECK(k >= 1, "block width must be positive");
   HICOND_CHECK(r.size() == z.size(), "block size mismatch");
@@ -181,18 +231,17 @@ void MultilevelSteinerSolver::apply_block(std::span<const double> r,
     coarsest_solve(r, z, k);
     return;
   }
+  ws.levels.resize(static_cast<std::size_t>(st.hierarchy.num_levels()));
   // First cycle from zero initial guess.
-  cycle_block(0, r, z, k);
+  cycle_block(0, r, z, k, ws);
   // Additional cycles refine on the residual.
   if (st.options.cycles > 1) {
     const Graph& a = st.hierarchy.levels.front().graph;
-    std::vector<double> work(r.size());
-    std::vector<double> correction(r.size());
+    const std::span<double> residual = take(ws.refine_residual, r.size());
+    const std::span<double> correction = take(ws.refine_correction, r.size());
     for (int c = 1; c < st.options.cycles; ++c) {
-      a.laplacian_apply_block(z, work, k);
-      parallel_for(work.size(),
-                   [&](std::size_t i) { work[i] = r[i] - work[i]; });
-      cycle_block(0, work, correction, k);
+      a.laplacian_residual_block(z, r, residual, k);
+      cycle_block(0, residual, correction, k, ws);
       la::axpy(1.0, correction, z);
     }
   }
@@ -207,16 +256,18 @@ void MultilevelSteinerSolver::apply(std::span<const double> r,
 }
 
 LinearOperator MultilevelSteinerSolver::as_operator() const {
-  auto self = *this;  // shares state_
-  return [self](std::span<const double> r, std::span<double> z) {
-    self.apply_block(r, z, 1);
+  // Shares state_; the workspace is this operator's own.
+  return [self = *this, ws = Workspace{}](std::span<const double> r,
+                                          std::span<double> z) mutable {
+    self.apply_block(r, z, 1, ws);
   };
 }
 
 BlockOperator MultilevelSteinerSolver::as_block_operator() const {
-  auto self = *this;  // shares state_
-  return [self](std::span<const double> r, std::span<double> z, int k) {
-    self.apply_block(r, z, k);
+  return [self = *this, ws = Workspace{}](std::span<const double> r,
+                                          std::span<double> z,
+                                          int k) mutable {
+    self.apply_block(r, z, k, ws);
   };
 }
 

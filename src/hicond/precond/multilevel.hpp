@@ -40,6 +40,20 @@ struct LevelCycleStats {
 
 /// Symmetric multilevel cycle built on a LaminarHierarchy; the coarsest
 /// level is solved exactly with sparse LDL'.
+///
+/// With one damped-Jacobi sweep per side (the default) each level of a
+/// V-cycle makes two SpMV passes: the pre-smoothing sweep starts from z = 0
+/// and needs none, and the residual r - A z and the post-smoothing sweep
+/// each fuse their elementwise update into the SpMV (Graph::
+/// laplacian_residual_block, Graph::jacobi_sweep_block). The bits are those
+/// of the unfused cycle.
+///
+/// The cycle's vectors live in a workspace. An operator from as_operator()
+/// or as_block_operator() owns one: it grows on the first application and
+/// is reused by every later one, so a PCG solve allocates nothing per
+/// iteration. Such an operator (and each copy of it) serves one caller at a
+/// time -- the same contract as cycle_stats(). apply() and apply_block()
+/// allocate a workspace per call.
 class MultilevelSteinerSolver {
  public:
   [[nodiscard]] static MultilevelSteinerSolver build(
@@ -66,9 +80,9 @@ class MultilevelSteinerSolver {
   /// [j*n, (j+1)*n)): one or more symmetric V-cycles starting from Z = 0.
   /// One hierarchy traversal serves all k columns: each level's graph,
   /// inverse diagonal and restriction index are walked once per cycle
-  /// instead of once per RHS, with the SpMVs blocked through
-  /// Graph::laplacian_apply_block. Every other update runs column by
-  /// column, so column j does not depend on the other columns or on k.
+  /// instead of once per RHS, with the SpMVs blocked through Graph's block
+  /// kernels. Every update is per column in a fixed order, so column j does
+  /// not depend on the other columns or on k.
   void apply_block(std::span<const double> r, std::span<double> z,
                    int k) const;
 
@@ -85,10 +99,11 @@ class MultilevelSteinerSolver {
     return state_->hierarchy;
   }
 
-  /// Wall time spent per level across every apply_block() so far: entries
-  /// [0, num_levels()) are the V-cycle levels, the last entry is the
-  /// coarsest direct solve. Updated by the applying thread only; read it
-  /// between solves, not concurrently with one.
+  /// Wall time spent per level across every application so far (apply,
+  /// apply_block and the operators): entries [0, num_levels()) are the
+  /// V-cycle levels, the last entry is the coarsest direct solve. Updated by
+  /// the applying thread only; read it between solves, not concurrently
+  /// with one.
   [[nodiscard]] std::vector<LevelCycleStats> cycle_stats() const {
     return state_->cycle_stats;
   }
@@ -115,8 +130,16 @@ class MultilevelSteinerSolver {
       LaminarHierarchy hierarchy, const MultilevelOptions& options,
       const State* reuse);
 
+  /// Per-operator scratch (defined in multilevel.cpp).
+  struct Workspace;
+
+  /// apply_block on the caller's workspace.
+  void apply_block(std::span<const double> r, std::span<double> z, int k,
+                   Workspace& ws) const;
+  /// One V-cycle from level `level` down, from z = 0: pre-smooth, fused
+  /// residual, restrict, recurse, prolong, post-smooth.
   void cycle_block(int level, std::span<const double> r, std::span<double> z,
-                   int k) const;
+                   int k, Workspace& ws) const;
   /// Exact coarsest-level solve, one column at a time.
   void coarsest_solve(std::span<const double> r, std::span<double> z,
                       int k) const;

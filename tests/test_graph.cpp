@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "hicond/graph/generators.hpp"
+#include "hicond/util/rng.hpp"
 
 namespace hicond {
 namespace {
@@ -172,6 +174,73 @@ TEST(GraphValidation, RejectsBadEdges) {
   EXPECT_THROW(Graph(2, nonpos), invalid_argument_error);
   std::vector<WeightedEdge> neg{{0, 1, -1.0}};
   EXPECT_THROW(Graph(2, neg), invalid_argument_error);
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GraphBlockKernels, FusedFormsMatchSpmvThenElementwise) {
+  // A weighted grid plus one isolated vertex, whose inverse diagonal is 0.
+  const Graph grid = gen::grid2d(6, 7, gen::WeightSpec::uniform(0.5, 3.0), 9);
+  const std::vector<WeightedEdge> edges = grid.edge_list();
+  const Graph g(grid.num_vertices() + 1, edges);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<double> inv_diag(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const double vol = g.vol(static_cast<vidx>(v));
+    inv_diag[v] = vol > 0.0 ? 1.0 / vol : 0.0;
+  }
+  ASSERT_EQ(g.degree(g.num_vertices() - 1), 0);
+  const double omega = 0.7;
+  Rng rng(17);
+  for (int k = 1; k <= 9; ++k) {
+    const std::size_t size = n * static_cast<std::size_t>(k);
+    std::vector<double> x(size);
+    std::vector<double> r(size);
+    for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> ax(size);
+    g.laplacian_apply_block(x, ax, k);
+    std::vector<double> residual(size);
+    std::vector<double> sweep(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      residual[i] = r[i] - ax[i];
+      sweep[i] = x[i] + omega * inv_diag[i % n] * (r[i] - ax[i]);
+    }
+    std::vector<double> out(size, -1.0);
+    g.laplacian_residual_block(x, r, out, k);
+    EXPECT_TRUE(bitwise_equal(out, residual)) << "residual k=" << k;
+    // The residual may overwrite its right-hand side.
+    std::vector<double> in_place = r;
+    g.laplacian_residual_block(x, in_place, in_place, k);
+    EXPECT_TRUE(bitwise_equal(in_place, residual)) << "in-place k=" << k;
+    std::fill(out.begin(), out.end(), -1.0);
+    g.jacobi_sweep_block(x, r, inv_diag, omega, out, k);
+    EXPECT_TRUE(bitwise_equal(out, sweep)) << "jacobi k=" << k;
+    // The zero inverse diagonal leaves the isolated vertex where it was.
+    for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
+      EXPECT_EQ(out[j * n + n - 1], x[j * n + n - 1]);
+    }
+  }
+}
+
+TEST(GraphBlockKernels, FusedFormsRejectBadShapes) {
+  const Graph g = triangle();
+  std::vector<double> x(6);
+  std::vector<double> r(6);
+  std::vector<double> y(6);
+  std::vector<double> short_r(5);
+  std::vector<double> inv(3);
+  std::vector<double> short_inv(2);
+  EXPECT_THROW(g.laplacian_residual_block(x, short_r, y, 2),
+               invalid_argument_error);
+  EXPECT_THROW(g.laplacian_residual_block(x, r, y, 3), invalid_argument_error);
+  EXPECT_THROW(g.jacobi_sweep_block(x, r, short_inv, 0.7, y, 2),
+               invalid_argument_error);
+  EXPECT_THROW(g.jacobi_sweep_block(x, short_r, inv, 0.7, y, 2),
+               invalid_argument_error);
 }
 
 }  // namespace

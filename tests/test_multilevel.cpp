@@ -1,9 +1,13 @@
 #include "hicond/precond/multilevel.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <cstring>
 
 #include "hicond/graph/generators.hpp"
 #include "hicond/la/vector_ops.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/util/rng.hpp"
 
 namespace hicond {
@@ -15,6 +19,198 @@ std::vector<double> mean_free_rhs(vidx n, std::uint64_t seed) {
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
   la::remove_mean(b);
   return b;
+}
+
+/// The V-cycle written out from public pieces, one column at a time, in the
+/// arithmetic order apply_block has always used: pre-smoothing from z = 0,
+/// residual r - A z, restriction by ascending-member cluster sums, the
+/// recursive coarse correction, prolongation z += zc[assign], and
+/// post-smoothing; `cycles - 1` refinement cycles on r - A z; a mean
+/// projection per column. apply_block must match it bit for bit.
+class ReferenceCycle {
+ public:
+  ReferenceCycle(const LaminarHierarchy& h, const MultilevelOptions& o)
+      : h_(h), o_(o) {
+    for (const auto& lv : h.levels) {
+      const Graph& a = lv.graph;
+      std::vector<double> inv(static_cast<std::size_t>(a.num_vertices()));
+      for (vidx v = 0; v < a.num_vertices(); ++v) {
+        inv[static_cast<std::size_t>(v)] = a.vol(v) > 0.0 ? 1.0 / a.vol(v)
+                                                          : 0.0;
+      }
+      inv_.push_back(std::move(inv));
+      index_.push_back(ClusterIndex::build(lv.decomposition.assignment,
+                                           lv.decomposition.num_clusters));
+      cheb_.push_back(o.smoother == SmootherKind::chebyshev
+                          ? std::make_unique<ChebyshevSmoother>(
+                                a, o.chebyshev_degree)
+                          : nullptr);
+    }
+    if (h.coarsest.num_vertices() > 1) {
+      direct_ = std::make_unique<LaplacianDirectSolver>(h.coarsest);
+    }
+  }
+
+  [[nodiscard]] std::vector<double> apply(const std::vector<double>& r,
+                                          int k) const {
+    const std::size_t n = r.size() / static_cast<std::size_t>(k);
+    std::vector<double> z(r.size());
+    for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
+      const std::vector<double> rj(r.begin() + static_cast<long>(j * n),
+                                   r.begin() + static_cast<long>((j + 1) * n));
+      std::vector<double> zj = cycle(0, rj);
+      for (int c = 1; c < o_.cycles; ++c) {
+        std::vector<double> res = residual(h_.levels.front().graph, rj, zj);
+        la::axpy(1.0, cycle(0, res), zj);
+      }
+      la::remove_mean(zj);
+      std::copy(zj.begin(), zj.end(), z.begin() + static_cast<long>(j * n));
+    }
+    return z;
+  }
+
+ private:
+  static std::vector<double> residual(const Graph& a,
+                                      const std::vector<double>& r,
+                                      const std::vector<double>& z) {
+    std::vector<double> az(z.size());
+    a.laplacian_apply_block(z, az, 1);
+    for (std::size_t i = 0; i < z.size(); ++i) az[i] = r[i] - az[i];
+    return az;
+  }
+
+  void smooth(int level, const std::vector<double>& r,
+              std::vector<double>& z) const {
+    const auto l = static_cast<std::size_t>(level);
+    for (int s = 0; s < o_.smoothing_steps; ++s) {
+      if (cheb_[l] != nullptr) {
+        cheb_[l]->smooth(r, z);
+        continue;
+      }
+      std::vector<double> az(z.size());
+      h_.levels[l].graph.laplacian_apply_block(z, az, 1);
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        z[i] += o_.jacobi_weight * inv_[l][i] * (r[i] - az[i]);
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<double> cycle(int level,
+                                          const std::vector<double>& r) const {
+    std::vector<double> z(r.size(), 0.0);
+    if (level == h_.num_levels()) {
+      if (direct_ != nullptr) direct_->apply(r, z);
+      return z;
+    }
+    const auto l = static_cast<std::size_t>(level);
+    const HierarchyLevel& lv = h_.levels[l];
+    smooth(level, r, z);
+    const std::vector<double> res = residual(lv.graph, r, z);
+    std::vector<double> rc(
+        static_cast<std::size_t>(lv.decomposition.num_clusters));
+    index_[l].restrict_sum(res, rc);
+    const std::vector<double> zc = cycle(level + 1, rc);
+    for (std::size_t v = 0; v < z.size(); ++v) {
+      z[v] += zc[static_cast<std::size_t>(lv.decomposition.assignment[v])];
+    }
+    smooth(level, r, z);
+    return z;
+  }
+
+  const LaminarHierarchy& h_;
+  MultilevelOptions o_;
+  std::vector<std::vector<double>> inv_;
+  std::vector<ClusterIndex> index_;
+  std::vector<std::unique_ptr<ChebyshevSmoother>> cheb_;
+  std::unique_ptr<LaplacianDirectSolver> direct_;
+};
+
+/// k random columns of length n, column-major, not mean-free.
+std::vector<double> random_block(vidx n, int k, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> b(static_cast<std::size_t>(n) *
+                        static_cast<std::size_t>(k));
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  return b;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Multilevel, ApplyBlockMatchesReferenceCycleBitwise) {
+  const Graph g = gen::grid2d(20, 20, gen::WeightSpec::uniform(1.0, 4.0), 13);
+  const LaminarHierarchy h = build_hierarchy(g, {.coarsest_size = 24});
+  ASSERT_GE(h.num_levels(), 2);
+  const int ambient = omp_get_max_threads();
+  for (const SmootherKind smoother :
+       {SmootherKind::jacobi, SmootherKind::chebyshev}) {
+    for (const int steps : {0, 1, 2}) {
+      for (const int cycles : {1, 2}) {
+        const MultilevelOptions o{.smoother = smoother,
+                                  .smoothing_steps = steps,
+                                  .cycles = cycles};
+        const MultilevelSteinerSolver s = MultilevelSteinerSolver::build(h, o);
+        const ReferenceCycle reference(h, o);
+        for (const int k : {1, 3, 9}) {
+          const auto r = random_block(g.num_vertices(), k,
+                                      static_cast<std::uint64_t>(100 + k));
+          const std::vector<double> expected = reference.apply(r, k);
+          for (const int threads : {1, 4}) {
+            omp_set_num_threads(threads);
+            std::vector<double> z(r.size());
+            s.apply_block(r, z, k);
+            EXPECT_TRUE(bitwise_equal(z, expected))
+                << "smoother=" << static_cast<int>(smoother)
+                << " steps=" << steps << " cycles=" << cycles << " k=" << k
+                << " threads=" << threads;
+          }
+          omp_set_num_threads(ambient);
+        }
+      }
+    }
+  }
+}
+
+TEST(Multilevel, OperatorWorkspaceReuseMatchesFreshApply) {
+  const Graph g = gen::grid2d(18, 18, gen::WeightSpec::uniform(1.0, 3.0), 19);
+  const LaminarHierarchy h = build_hierarchy(g, {.coarsest_size = 24});
+  ASSERT_GE(h.num_levels(), 2);
+  const vidx n = g.num_vertices();
+  for (const MultilevelOptions& o :
+       {MultilevelOptions{},
+        MultilevelOptions{.smoothing_steps = 2, .cycles = 2},
+        MultilevelOptions{.smoother = SmootherKind::chebyshev, .cycles = 2}}) {
+    const MultilevelSteinerSolver s = MultilevelSteinerSolver::build(h, o);
+    // One block operator across changing widths: buffers sized for k = 8
+    // then reused (shrunk views) at 3, grown at 9, reused at 1.
+    const BlockOperator op = s.as_block_operator();
+    std::uint64_t seed = 200;
+    for (const int k : {8, 3, 9, 1}) {
+      const auto r = random_block(n, k, ++seed);
+      std::vector<double> fresh(r.size());
+      s.apply_block(r, fresh, k);
+      std::vector<double> reused(r.size());
+      op(r, reused, k);
+      EXPECT_TRUE(bitwise_equal(reused, fresh)) << "k=" << k;
+    }
+    // A single-vector operator, copied after it has grown its workspace;
+    // both the original and the copy keep matching a fresh apply.
+    const LinearOperator single = s.as_operator();
+    std::vector<double> scratch(static_cast<std::size_t>(n));
+    single(random_block(n, 1, ++seed), scratch);
+    // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+    const LinearOperator copy = single;
+    for (const LinearOperator* m : {&single, &copy, &single}) {
+      const auto r = random_block(n, 1, ++seed);
+      std::vector<double> fresh(r.size());
+      s.apply(r, fresh);
+      std::vector<double> reused(r.size());
+      (*m)(r, reused);
+      EXPECT_TRUE(bitwise_equal(reused, fresh));
+    }
+  }
 }
 
 TEST(Multilevel, BuildsOnHierarchy) {

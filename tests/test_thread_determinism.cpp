@@ -35,10 +35,12 @@
 namespace hicond {
 namespace {
 
-/// The thread counts the determinism matrix runs: serial, small team, and
-/// an oversubscribed team (the container may have fewer cores than 8 --
-/// oversubscription is exactly the schedule perturbation we want).
-constexpr int kThreadMatrix[] = {1, 2, 8};
+/// The thread counts the determinism matrix runs: serial, a small team, a
+/// team of 4 (one thread per core on a 4-core machine, so the threads truly
+/// run at once), and an oversubscribed team of 8 (where the machine has
+/// fewer cores, oversubscription is exactly the schedule perturbation we
+/// want).
+constexpr int kThreadMatrix[] = {1, 2, 4, 8};
 
 /// Run `fn()` with the OpenMP thread count forced to `threads`, restoring
 /// the ambient setting afterwards (exceptions propagate after restore).
@@ -215,12 +217,30 @@ TEST(ThreadDeterminism, PcgSolveBitIdenticalAcrossThreadCounts) {
 
 TEST(ThreadDeterminism, MultilevelCycleBitIdenticalAcrossThreadCounts) {
   const Graph g = gen::grid2d(24, 24, gen::WeightSpec::uniform(1.0, 2.0), 71);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
   const auto r = mean_free_rhs(g.num_vertices(), 73);
+  // Three columns, applied twice through one block operator: the second
+  // application runs on the workspace the first one grew.
+  constexpr int k = 3;
+  std::vector<double> rk;
+  for (int j = 0; j < k; ++j) {
+    const auto col = mean_free_rhs(g.num_vertices(),
+                                   static_cast<std::uint64_t>(80 + j));
+    rk.insert(rk.end(), col.begin(), col.end());
+  }
   auto run = [&] {
     const MultilevelSteinerSolver s = MultilevelSteinerSolver::build(
         build_hierarchy(g, {.coarsest_size = 32}));
+    EXPECT_GE(s.num_levels(), 2);
     std::vector<double> z(r.size());
     s.apply(r, z);
+    const BlockOperator op = s.as_block_operator();
+    std::vector<double> zk(n * k);
+    op(rk, zk, k);
+    z.insert(z.end(), zk.begin(), zk.end());
+    std::vector<double> rk2(rk.rbegin(), rk.rend());
+    op(rk2, zk, k);
+    z.insert(z.end(), zk.begin(), zk.end());
     return z;
   };
   const std::vector<double> base = with_thread_count(1, run);

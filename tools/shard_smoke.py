@@ -124,6 +124,32 @@ def pid_alive(pid):
     return True
 
 
+def kill_when_busy(pid, timeout=30.0):
+    """SIGKILL an idle worker as soon as it starts on the request just
+    posted to the router, so the kill lands mid-flight however fast the
+    cold build is. An idle worker sleeps in its read loop; the first time
+    its main thread is seen running (or in uninterruptible I/O) it has
+    picked the request up. Without /proc, fall back to a short fixed delay
+    that lets the router forward the request."""
+    stat_path = f"/proc/{pid}/stat"
+    if not os.path.exists(stat_path):
+        time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        return
+    deadline = time.time() + timeout
+    while True:
+        with open(stat_path, encoding="utf-8") as f:
+            stat = f.read()
+        # Field 3, after the parenthesised command name.
+        if stat[stat.rindex(")") + 2] in "RD":
+            break
+        check(
+            time.time() < deadline,
+            f"worker {pid} never started on the request in {timeout}s",
+        )
+    os.kill(pid, signal.SIGKILL)
+
+
 def main():
     if len(sys.argv) < 4:
         print(__doc__, file=sys.stderr)
@@ -135,8 +161,8 @@ def main():
     os.makedirs(work, exist_ok=True)
 
     # Several small graphs so the ring has something to spread, plus one
-    # large graph whose cold hierarchy build is slow enough that a SIGKILL
-    # sent right after the solve request reliably lands mid-flight.
+    # large graph whose cold hierarchy build gives a SIGKILL, sent once the
+    # worker starts on the solve request, in-flight work to interrupt.
     snaps, fingerprints = [], []
     for i, side in enumerate([24, 28, 32, 36]):
         wel = os.path.join(work, f"g{i}.wel")
@@ -516,8 +542,7 @@ def main():
     solve_id = router.post(
         {"op": "solve", "graph": big_fp, "rhs_seed": RHS_SEED}
     )
-    time.sleep(0.05)  # let the router forward; the cold build takes longer
-    os.kill(victim_pid, signal.SIGKILL)
+    kill_when_busy(victim_pid)
     recovered = router.read_response(solve_id)
     check(
         recovered.get("ok") is True,
@@ -647,8 +672,7 @@ def main():
     update_id = router.post(
         {"op": "update", "graph": big2_fp, "updates": upd_c}
     )
-    time.sleep(0.05)  # let the router forward; the cold build takes longer
-    os.kill(victim_pid, signal.SIGKILL)
+    kill_when_busy(victim_pid)
     recovered = router.read_response(update_id)
     check(
         recovered.get("ok") is True,
