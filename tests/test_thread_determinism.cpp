@@ -16,10 +16,13 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "hicond/certify/certify.hpp"
+#include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/graph.hpp"
 #include "hicond/graph/quotient.hpp"
@@ -27,6 +30,7 @@
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/partition/decomposition.hpp"
 #include "hicond/partition/fixed_degree.hpp"
+#include "hicond/partition/hierarchy.hpp"
 #include "hicond/precond/multilevel.hpp"
 #include "hicond/precond/steiner.hpp"
 #include "hicond/tree/tree_decomposition.hpp"
@@ -246,6 +250,120 @@ TEST(ThreadDeterminism, MultilevelCycleBitIdenticalAcrossThreadCounts) {
   const std::vector<double> base = with_thread_count(1, run);
   for (const int t : kThreadMatrix) {
     EXPECT_EQ(with_thread_count(t, run), base) << "threads=" << t;
+  }
+}
+
+// --- hierarchy bits pinned to constants ------------------------------------
+
+/// FNV-1a 64 over raw bytes, folded into a running hash.
+std::uint64_t fnv_fold(std::uint64_t h, const void* data, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t fnv_fold(std::uint64_t h, std::span<const T> values) {
+  const auto n = static_cast<std::uint64_t>(values.size());
+  h = fnv_fold(h, &n, sizeof n);
+  return fnv_fold(h, values.data(), values.size_bytes());
+}
+
+/// Vertex count plus the offsets, targets and weights bytes of `g`.
+std::uint64_t fnv_fold(std::uint64_t h, const Graph& g) {
+  const vidx n = g.num_vertices();
+  h = fnv_fold(h, &n, sizeof n);
+  for (vidx v = 0; v < n; ++v) {
+    const eidx begin = g.arc_begin(v);
+    h = fnv_fold(h, &begin, sizeof begin);
+    h = fnv_fold(h, g.neighbors(v));
+    h = fnv_fold(h, g.weights(v));
+  }
+  return h;
+}
+
+std::uint64_t fnv_fold(std::uint64_t h, const Decomposition& d) {
+  h = fnv_fold(h, &d.num_clusters, sizeof d.num_clusters);
+  return fnv_fold(h, std::span<const vidx>(d.assignment));
+}
+
+/// One hash over a whole build: every level's graph and assignment, the
+/// coarsest graph, and the fixed-degree result (decomposition and both
+/// forests) of the input with the perturbation on and off.
+std::uint64_t setup_fingerprint(const Graph& g, bool perturb) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  HierarchyOptions opt;
+  opt.contraction.perturb = perturb;
+  const LaminarHierarchy hier = build_hierarchy(g, opt);
+  for (const HierarchyLevel& level : hier.levels) {
+    h = fnv_fold(h, level.graph);
+    h = fnv_fold(h, level.decomposition);
+  }
+  h = fnv_fold(h, hier.coarsest);
+  for (const bool p : {true, false}) {
+    const FixedDegreeResult fd =
+        fixed_degree_decomposition(g, {.seed = 5, .perturb = p});
+    h = fnv_fold(h, fd.decomposition);
+    h = fnv_fold(h, fd.forest);
+    h = fnv_fold(h, fd.perturbed_forest);
+  }
+  return h;
+}
+
+/// A path of triangles whose mirror arcs differ in the last bits (as
+/// quotient weights do): each triangle's picks without perturbation form
+/// the cycle 3t -> 3t+1 -> 3t+2 -> 3t, so the forest construction must fall
+/// back to the perturbed weights. Triangles are joined by lighter edges.
+Graph skewed_triangle_path(vidx triangles) {
+  const double hi = 1.0 + 2e-12;
+  const vidx n = 3 * triangles;
+  std::vector<eidx> offsets{0};
+  std::vector<vidx> targets;
+  std::vector<double> weights;
+  for (vidx v = 0; v < n; ++v) {
+    const vidx base = v - v % 3;
+    const vidx next = base + (v % 3 + 1) % 3;
+    const vidx prev = base + (v % 3 + 2) % 3;
+    std::vector<std::pair<vidx, double>> row{{next, hi}, {prev, 1.0}};
+    if (v % 3 == 0 && v > 0) row.emplace_back(v - 1, 0.5);
+    if (v % 3 == 2 && v + 1 < n) row.emplace_back(v + 1, 0.5);
+    std::sort(row.begin(), row.end());
+    for (const auto& [u, w] : row) {
+      targets.push_back(u);
+      weights.push_back(w);
+    }
+    offsets.push_back(static_cast<eidx>(targets.size()));
+  }
+  return Graph::from_csr(n, std::move(offsets), std::move(targets),
+                         std::move(weights));
+}
+
+TEST(ThreadDeterminism, HierarchyBitsMatchPinnedConstants) {
+  // Pinned constants, not a same-build comparison: a change to setup
+  // (quotient assembly, forest construction, splitting, storage) must
+  // reproduce these bits exactly at every thread count. The OCT volume's
+  // levels >= 1 carry quotient weights whose mirror arcs differ in the last
+  // bits; the unit grid without perturbation ties every pick.
+  const Graph oct = gen::oct_volume(24, 24, 24, {}, 41);
+  const Graph unit = gen::grid3d(12, 12, 12, gen::WeightSpec::unit(), 1);
+  const Graph skewed = skewed_triangle_path(400);
+  ASSERT_FALSE(is_forest(heaviest_incident_edge_forest(skewed, 1, false)));
+  constexpr std::uint64_t kOct = 0x0721438b75f9325aULL;
+  constexpr std::uint64_t kUnit = 0x2042c3a6f76e2bc7ULL;
+  constexpr std::uint64_t kSkewed = 0x165ce7bc9f4417f3ULL;
+  for (const int t : kThreadMatrix) {
+    const std::uint64_t oct_hash =
+        with_thread_count(t, [&] { return setup_fingerprint(oct, true); });
+    const std::uint64_t unit_hash =
+        with_thread_count(t, [&] { return setup_fingerprint(unit, false); });
+    const std::uint64_t skewed_hash =
+        with_thread_count(t, [&] { return setup_fingerprint(skewed, false); });
+    EXPECT_EQ(oct_hash, kOct) << "threads=" << t;
+    EXPECT_EQ(unit_hash, kUnit) << "threads=" << t;
+    EXPECT_EQ(skewed_hash, kSkewed) << "threads=" << t;
   }
 }
 
