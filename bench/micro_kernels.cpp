@@ -1,6 +1,5 @@
 // MB-* -- google-benchmark microbenchmarks of the library's kernels: the
-// Laplacian SpMV, the quotient triple product Q = R'AR (Remark 1's parallel
-// sparse matrix multiplication), the three Section 3.1 passes, tree
+// Laplacian SpMV, the three Section 3.1 passes, tree
 // decomposition, maximum spanning forests, exact forest solves, and one
 // Steiner preconditioner application.
 #include <benchmark/benchmark.h>
@@ -9,7 +8,7 @@
 #include "hicond/graph/quotient.hpp"
 #include "hicond/la/chebyshev.hpp"
 #include "hicond/la/sparse_cholesky.hpp"
-#include "hicond/la/spgemm.hpp"
+#include "hicond/la/csr.hpp"
 #include "hicond/la/tree_solver.hpp"
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/partition/fixed_degree.hpp"
@@ -59,19 +58,6 @@ void BM_CsrSpmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_CsrSpmv)->Arg(16)->Arg(32)->Arg(48);
-
-void BM_QuotientTripleProduct(benchmark::State& state) {
-  const Graph g = bench_grid(static_cast<vidx>(state.range(0)));
-  const CsrMatrix a = csr_laplacian(g);
-  const auto fd = fixed_degree_decomposition(g, {.max_cluster_size = 4});
-  for (auto _ : state) {
-    const CsrMatrix q = quotient_triple_product(
-        a, fd.decomposition.assignment, fd.decomposition.num_clusters);
-    benchmark::DoNotOptimize(q.values.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz());
-}
-BENCHMARK(BM_QuotientTripleProduct)->Arg(16)->Arg(32);
 
 void BM_FixedDegreeDecomposition(benchmark::State& state) {
   const Graph g = bench_grid(static_cast<vidx>(state.range(0)));

@@ -159,8 +159,7 @@ RepairResult repair_decomposition(const Graph& new_graph,
         .max_cluster_size = options.contraction.max_cluster_size,
         .seed = options.contraction.seed,
         .perturb = options.contraction.perturb};
-    Decomposition sub_d = fixed_degree_decomposition(sub, contraction)
-                              .decomposition;
+    Decomposition sub_d = fixed_degree_clusters(sub, contraction);
     if (options.refine) {
       sub_d = refine_decomposition(sub, sub_d, options.refinement)
                   .decomposition;

@@ -1,6 +1,7 @@
 #include "hicond/graph/builder.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "hicond/util/parallel.hpp"
 
@@ -67,26 +68,26 @@ Graph GraphBuilder::build() const {
     row_size[v] = static_cast<eidx>(out - lo);
   });
 
-  Graph g(n_);
-  g.offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  std::vector<eidx> row_offsets(static_cast<std::size_t>(n_) + 1, 0);
   for (vidx v = 0; v < n_; ++v) {
-    g.offsets_[static_cast<std::size_t>(v) + 1] =
-        g.offsets_[static_cast<std::size_t>(v)] +
+    row_offsets[static_cast<std::size_t>(v) + 1] =
+        row_offsets[static_cast<std::size_t>(v)] +
         row_size[static_cast<std::size_t>(v)];
   }
-  g.targets_.resize(static_cast<std::size_t>(g.offsets_.back()));
-  g.weights_.resize(static_cast<std::size_t>(g.offsets_.back()));
+  std::vector<vidx> targets(static_cast<std::size_t>(row_offsets.back()));
+  std::vector<double> weights(static_cast<std::size_t>(row_offsets.back()));
   parallel_for(static_cast<std::size_t>(n_), [&](std::size_t v) {
     auto src = static_cast<std::size_t>(offsets[v]);
-    auto dst = static_cast<std::size_t>(g.offsets_[v]);
+    auto dst = static_cast<std::size_t>(row_offsets[v]);
     for (eidx k = 0; k < row_size[v]; ++k) {
-      g.targets_[dst] = arcs[src].to;
-      g.weights_[dst] = arcs[src].weight;
+      targets[dst] = arcs[src].to;
+      weights[dst] = arcs[src].weight;
       ++src;
       ++dst;
     }
   });
-  g.finalize_volumes();
+  Graph g = Graph::adopt(n_, std::move(row_offsets), std::move(targets),
+                         std::move(weights));
   HICOND_RUN_VALIDATION(expensive, g.validate());
   return g;
 }

@@ -23,83 +23,113 @@ bool weights_close(double a, double b) {
 Graph Graph::from_csr(vidx n, std::vector<eidx> offsets,
                       std::vector<vidx> targets, std::vector<double> weights) {
   HICOND_CHECK(n >= 0, "vertex count must be nonnegative");
-  Graph g;
-  g.n_ = n;
-  g.offsets_ = std::move(offsets);
-  g.targets_ = std::move(targets);
-  g.weights_ = std::move(weights);
   // Validate the adopted structure before deriving volumes from it; this is
   // the untrusted entry point, so the sweep runs at every validation level.
-  g.validate_structure();
-  g.finalize_volumes();
-  return g;
+  Csr raw{std::move(offsets), std::move(targets), std::move(weights), {}, 0.0};
+  validate_structure(n, raw);
+  return adopt(n, std::move(raw.offsets), std::move(raw.targets),
+               std::move(raw.weights));
 }
 
-void Graph::validate_structure() const {
-  HICOND_CHECK(offsets_.size() == static_cast<std::size_t>(n_) + 1,
+Graph Graph::adopt(vidx n, std::vector<eidx> offsets,
+                   std::vector<vidx> targets, std::vector<double> weights) {
+  auto csr = std::make_shared<Csr>();
+  csr->offsets = std::move(offsets);
+  csr->targets = std::move(targets);
+  csr->weights = std::move(weights);
+  csr->vol.resize(static_cast<std::size_t>(n));
+  parallel_for(static_cast<std::size_t>(n), [&](std::size_t v) {
+    double s = 0.0;
+    for (eidx a = csr->offsets[v]; a < csr->offsets[v + 1]; ++a) {
+      s += csr->weights[static_cast<std::size_t>(a)];
+    }
+    csr->vol[v] = s;
+  });
+  csr->total_volume = std::accumulate(csr->vol.begin(), csr->vol.end(), 0.0);
+  return Graph(n, std::move(csr));
+}
+
+Graph::Graph(vidx n, std::shared_ptr<const Csr> csr)
+    : n_(n),
+      csr_(std::move(csr)),
+      offsets_(csr_->offsets.data()),
+      targets_(csr_->targets.data()),
+      weights_(csr_->weights.data()),
+      vol_(csr_->vol.data()) {}
+
+void Graph::validate_structure(vidx n, const Csr& csr) {
+  const auto& offsets = csr.offsets;
+  const auto& targets = csr.targets;
+  const auto& weights = csr.weights;
+  HICOND_CHECK(offsets.size() == static_cast<std::size_t>(n) + 1,
                "CSR offsets size must be num_vertices + 1");
-  HICOND_CHECK(offsets_.front() == 0, "CSR offsets must start at 0");
-  for (std::size_t v = 0; v + 1 < offsets_.size(); ++v) {
-    HICOND_CHECK(offsets_[v] <= offsets_[v + 1],
+  HICOND_CHECK(offsets.front() == 0, "CSR offsets must start at 0");
+  // Each per-vertex sweep runs in parallel and throws the violation of the
+  // lowest offending vertex -- what the serial scan in vertex order throws.
+  parallel_check(static_cast<std::size_t>(n), [&](std::size_t v) {
+    HICOND_CHECK(offsets[v] <= offsets[v + 1],
                  "CSR offsets must be nondecreasing (ragged offsets)");
-  }
-  HICOND_CHECK(offsets_.back() == static_cast<eidx>(targets_.size()),
+  });
+  HICOND_CHECK(offsets.back() == static_cast<eidx>(targets.size()),
                "CSR offsets must end at the arc count (ragged offsets)");
-  HICOND_CHECK(targets_.size() == weights_.size(),
+  HICOND_CHECK(targets.size() == weights.size(),
                "CSR targets and weights must have equal size");
-  for (vidx v = 0; v < n_; ++v) {
-    const auto lo = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(v)]);
-    const auto hi =
-        static_cast<std::size_t>(offsets_[static_cast<std::size_t>(v) + 1]);
+  parallel_check(static_cast<std::size_t>(n), [&](std::size_t row) {
+    const auto v = static_cast<vidx>(row);
+    const auto lo = static_cast<std::size_t>(offsets[row]);
+    const auto hi = static_cast<std::size_t>(offsets[row + 1]);
     for (std::size_t k = lo; k < hi; ++k) {
-      const vidx u = targets_[k];
-      HICOND_CHECK(u >= 0 && u < n_, "CSR target out of range");
+      const vidx u = targets[k];
+      HICOND_CHECK(u >= 0 && u < n, "CSR target out of range");
       HICOND_CHECK(u != v, "self-loops are not allowed");
-      HICOND_CHECK(k == lo || targets_[k - 1] < u,
+      HICOND_CHECK(k == lo || targets[k - 1] < u,
                    "CSR row targets must be strictly increasing "
                    "(unsorted or duplicate arcs)");
-      HICOND_CHECK(std::isfinite(weights_[k]) && weights_[k] > 0.0,
+      HICOND_CHECK(std::isfinite(weights[k]) && weights[k] > 0.0,
                    "edge weights must be positive and finite");
       // Symmetry: the mirror arc (u, v) must exist with matching weight.
-      const auto ulo = static_cast<std::size_t>(
-          offsets_[static_cast<std::size_t>(u)]);
-      const auto uhi = static_cast<std::size_t>(
-          offsets_[static_cast<std::size_t>(u) + 1]);
-      const auto begin = targets_.begin() + static_cast<std::ptrdiff_t>(ulo);
-      const auto end = targets_.begin() + static_cast<std::ptrdiff_t>(uhi);
+      const auto ulo =
+          static_cast<std::size_t>(offsets[static_cast<std::size_t>(u)]);
+      const auto uhi =
+          static_cast<std::size_t>(offsets[static_cast<std::size_t>(u) + 1]);
+      const auto begin = targets.begin() + static_cast<std::ptrdiff_t>(ulo);
+      const auto end = targets.begin() + static_cast<std::ptrdiff_t>(uhi);
       const auto it = std::lower_bound(begin, end, v);
       HICOND_CHECK(it != end && *it == v,
                    "graph must be symmetric: mirror arc missing");
-      const auto mirror = static_cast<std::size_t>(it - targets_.begin());
-      HICOND_CHECK(weights_close(weights_[k], weights_[mirror]),
+      const auto mirror = static_cast<std::size_t>(it - targets.begin());
+      HICOND_CHECK(weights_close(weights[k], weights[mirror]),
                    "graph must be symmetric: mirror arc weight differs");
     }
-  }
+  });
 }
 
 void Graph::validate() const {
-  validate_structure();
-  HICOND_CHECK(vol_.size() == static_cast<std::size_t>(n_),
+  validate_structure(n_, *csr_);
+  HICOND_CHECK(csr_->vol.size() == static_cast<std::size_t>(n_),
                "cached volume array size mismatch");
-  double total = 0.0;
-  for (vidx v = 0; v < n_; ++v) {
+  parallel_check(static_cast<std::size_t>(n_), [&](std::size_t v) {
     double s = 0.0;
-    for (eidx a = offsets_[static_cast<std::size_t>(v)];
-         a < offsets_[static_cast<std::size_t>(v) + 1]; ++a) {
+    for (eidx a = offsets_[v]; a < offsets_[v + 1]; ++a) {
       s += weights_[static_cast<std::size_t>(a)];
     }
-    HICOND_CHECK(weights_close(s, vol_[static_cast<std::size_t>(v)]),
+    HICOND_CHECK(weights_close(s, vol_[v]),
                  "cached vertex volume inconsistent with weights");
-    total += vol_[static_cast<std::size_t>(v)];
-  }
-  HICOND_CHECK(weights_close(total, total_volume_),
+  });
+  double total = 0.0;
+  for (const double v : csr_->vol) total += v;
+  HICOND_CHECK(weights_close(total, csr_->total_volume),
                "cached total volume inconsistent with weights");
 }
 
-Graph::Graph(vidx n) : n_(n), offsets_(static_cast<std::size_t>(n) + 1, 0) {
-  HICOND_CHECK(n >= 0, "vertex count must be nonnegative");
-  vol_.assign(static_cast<std::size_t>(n), 0.0);
-}
+Graph::Graph(vidx n)
+    : Graph(n, [n] {
+        HICOND_CHECK(n >= 0, "vertex count must be nonnegative");
+        auto csr = std::make_shared<Csr>();
+        csr->offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+        csr->vol.assign(static_cast<std::size_t>(n), 0.0);
+        return csr;
+      }()) {}
 
 Graph::Graph(vidx n, std::span<const WeightedEdge> edges) {
   GraphBuilder builder(n);
@@ -111,18 +141,6 @@ vidx Graph::max_degree() const noexcept {
   vidx best = 0;
   for (vidx v = 0; v < n_; ++v) best = std::max(best, degree(v));
   return best;
-}
-
-void Graph::finalize_volumes() {
-  vol_.assign(static_cast<std::size_t>(n_), 0.0);
-  parallel_for(static_cast<std::size_t>(n_), [&](std::size_t v) {
-    double s = 0.0;
-    for (eidx a = offsets_[v]; a < offsets_[v + 1]; ++a) {
-      s += weights_[static_cast<std::size_t>(a)];
-    }
-    vol_[v] = s;
-  });
-  total_volume_ = std::accumulate(vol_.begin(), vol_.end(), 0.0);
 }
 
 double Graph::edge_weight(vidx u, vidx v) const {
@@ -143,15 +161,17 @@ bool Graph::has_edge(vidx u, vidx v) const {
 }
 
 bool Graph::identical_to(const Graph& other) const noexcept {
-  if (n_ != other.n_ || offsets_ != other.offsets_ ||
-      targets_ != other.targets_) {
+  if (csr_ == other.csr_) return n_ == other.n_;
+  const Csr& a = *csr_;
+  const Csr& b = *other.csr_;
+  if (n_ != other.n_ || a.offsets != b.offsets || a.targets != b.targets) {
     return false;
   }
-  if (weights_.size() != other.weights_.size()) return false;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
+  if (a.weights.size() != b.weights.size()) return false;
+  for (std::size_t i = 0; i < a.weights.size(); ++i) {
     // Bitwise comparison: equal canonical graphs carry identical weight
     // bits (weights are positive finite, so IEEE == is bit equality here).
-    if (weights_[i] != other.weights_[i]) return false;  // float-eq: exact
+    if (a.weights[i] != b.weights[i]) return false;  // float-eq: exact
   }
   return true;
 }
@@ -276,7 +296,7 @@ void Graph::laplacian_apply_block(std::span<const double> x,
                                   std::span<double> y, int k) const {
   check_block(x, y, k);
   apply_in_chunks<Epilogue::product>(
-      offsets_.data(), targets_.data(), weights_.data(), vol_.data(),
+      offsets_, targets_, weights_, vol_,
       static_cast<std::size_t>(n_), k,
       {x.data(), y.data(), nullptr, nullptr, 0.0});
 }
@@ -287,7 +307,7 @@ void Graph::laplacian_residual_block(std::span<const double> x,
   check_block(x, y, k);
   HICOND_CHECK(r.size() == y.size(), "r block size mismatch");
   apply_in_chunks<Epilogue::residual>(
-      offsets_.data(), targets_.data(), weights_.data(), vol_.data(),
+      offsets_, targets_, weights_, vol_,
       static_cast<std::size_t>(n_), k,
       {x.data(), y.data(), r.data(), nullptr, 0.0});
 }
@@ -301,7 +321,7 @@ void Graph::jacobi_sweep_block(std::span<const double> x,
   HICOND_CHECK(inv_diag.size() == static_cast<std::size_t>(n_),
                "inverse diagonal size mismatch");
   apply_in_chunks<Epilogue::jacobi>(
-      offsets_.data(), targets_.data(), weights_.data(), vol_.data(),
+      offsets_, targets_, weights_, vol_,
       static_cast<std::size_t>(n_), k,
       {x.data(), y.data(), r.data(), inv_diag.data(), omega});
 }

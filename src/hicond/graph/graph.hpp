@@ -7,6 +7,7 @@
 // vertex is a contiguous scan.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,10 +32,20 @@ struct WeightedEdge {
 
 /// Immutable weighted undirected graph. Self-loops are disallowed; parallel
 /// edges are merged (weights summed) at construction time.
+///
+/// The CSR arrays and cached volumes live in one reference-counted block that
+/// is built once (by the constructors, GraphBuilder or from_csr) and never
+/// written again, so copying a Graph is O(1): copies share the block, each
+/// copy keeps it alive, and any number of threads may read copies at once.
 class Graph {
  public:
   /// Empty graph with `n` isolated vertices.
   explicit Graph(vidx n = 0);
+
+  /// O(1): the copy shares the source's storage block. There are no move
+  /// operations, so a moved-from Graph is a copy and stays valid.
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
 
   /// Build from an edge list. Parallel edges are merged, weights must be
   /// positive, endpoints must be in [0, n) and distinct.
@@ -58,12 +69,12 @@ class Graph {
 
   /// Number of undirected edges.
   [[nodiscard]] eidx num_edges() const noexcept {
-    return static_cast<eidx>(targets_.size()) / 2;
+    return static_cast<eidx>(csr_->targets.size()) / 2;
   }
 
   /// Number of stored directed arcs (2 * num_edges()).
   [[nodiscard]] eidx num_arcs() const noexcept {
-    return static_cast<eidx>(targets_.size());
+    return static_cast<eidx>(csr_->targets.size());
   }
 
   [[nodiscard]] vidx degree(vidx v) const {
@@ -80,17 +91,19 @@ class Graph {
   }
 
   /// Sum of vol(v) over all vertices (= 2 * total edge weight).
-  [[nodiscard]] double total_volume() const noexcept { return total_volume_; }
+  [[nodiscard]] double total_volume() const noexcept {
+    return csr_->total_volume;
+  }
 
   /// Neighbour targets of v, aligned with weights(v).
   [[nodiscard]] std::span<const vidx> neighbors(vidx v) const {
-    return {targets_.data() + offsets_[static_cast<std::size_t>(v)],
+    return {targets_ + arc_begin(v),
             static_cast<std::size_t>(degree(v))};
   }
 
   /// Edge weights incident to v, aligned with neighbors(v).
   [[nodiscard]] std::span<const double> weights(vidx v) const {
-    return {weights_.data() + offsets_[static_cast<std::size_t>(v)],
+    return {weights_ + arc_begin(v),
             static_cast<std::size_t>(degree(v))};
   }
 
@@ -122,7 +135,8 @@ class Graph {
   /// canonicalizes rows, this is content equality for graphs built through
   /// any public constructor -- it is the in-memory analogue of comparing
   /// snapshot fingerprints, and what the dynamic-repair path uses to decide
-  /// whether a quotient actually changed. O(n + m).
+  /// whether a quotient actually changed. O(n + m), or O(1) when the two
+  /// share storage (one is a copy of the other).
   [[nodiscard]] bool identical_to(const Graph& other) const noexcept;
 
   /// y = A_G x where A_G is the graph Laplacian: laplacian_apply_block
@@ -161,18 +175,39 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  void finalize_volumes();
+
+  /// The shared storage block.
+  struct Csr {
+    std::vector<eidx> offsets;    // size n + 1
+    std::vector<vidx> targets;    // size 2m
+    std::vector<double> weights;  // size 2m
+    std::vector<double> vol;      // size n
+    double total_volume = 0.0;
+  };
+
+  /// Derive the volumes of assembled CSR arrays and take ownership of them;
+  /// the caller vouches for the structure (from_csr validates it first).
+  [[nodiscard]] static Graph adopt(vidx n, std::vector<eidx> offsets,
+                                   std::vector<vidx> targets,
+                                   std::vector<double> weights);
+  /// Structural invariants of raw CSR arrays; what from_csr and validate()
+  /// check before anything reads a row.
+  static void validate_structure(vidx n, const Csr& csr);
   /// Shape checks shared by the block SpMV forms.
   void check_block(std::span<const double> x, std::span<const double> y,
                    int k) const;
-  void validate_structure() const;
+
+  /// Share `csr` and point the array views into it.
+  Graph(vidx n, std::shared_ptr<const Csr> csr);
 
   vidx n_ = 0;
-  std::vector<eidx> offsets_;    // size n_ + 1
-  std::vector<vidx> targets_;    // size 2m
-  std::vector<double> weights_;  // size 2m
-  std::vector<double> vol_;      // size n_
-  double total_volume_ = 0.0;
+  std::shared_ptr<const Csr> csr_;
+  // Views of csr_'s arrays: the accessors read a row with the same single
+  // load from `this` as when a Graph held its arrays itself.
+  const eidx* offsets_ = nullptr;
+  const vidx* targets_ = nullptr;
+  const double* weights_ = nullptr;
+  const double* vol_ = nullptr;
 };
 
 /// cap(U, W) = total weight of edges with one endpoint flagged in `in_u` and

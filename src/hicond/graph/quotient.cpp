@@ -22,56 +22,69 @@ Graph quotient_graph(const Graph& g, std::span<const vidx> assignment) {
   const vidx m = num_clusters(assignment);
   const ClusterIndex idx = ClusterIndex::build(assignment, m);
 
-  // Owner-computes assembly: cluster c builds its own adjacency row from the
-  // crossing edges of its members. Every undirected inter-cluster edge is
-  // seen from both endpoint clusters, so the rows come out symmetric (up to
-  // summation rounding, which is deterministic: members ascending, arcs in
-  // CSR order, stable sort by target cluster).
-  struct Arc {
-    vidx to;
-    double weight;
-  };
-  std::vector<std::vector<Arc>> rows(static_cast<std::size_t>(m));
-  parallel_for_interleaved(static_cast<std::size_t>(m), [&](std::size_t c) {
-    std::vector<Arc>& row = rows[c];
-    for (const vidx v : idx.members(static_cast<vidx>(c))) {
-      const auto nbrs = g.neighbors(v);
-      const auto ws = g.weights(v);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const vidx cu = assignment[static_cast<std::size_t>(nbrs[i])];
-        if (cu != static_cast<vidx>(c)) row.push_back({cu, ws[i]});
+  // Owner-computes assembly straight into CSR: cluster c builds its own row
+  // from the crossing arcs of its members. Every undirected inter-cluster
+  // edge is seen from both endpoint clusters, so the rows come out symmetric
+  // up to summation rounding, which is deterministic: each row entry starts
+  // from the first crossing arc's weight and adds the rest with members
+  // ascending and arcs in CSR order. Both passes keep a per-thread marker
+  // sized to m (marker[t] == c: cluster t already seen from row c).
+  const auto rows = static_cast<std::size_t>(m);
+  // Pass 1: the number of distinct neighbour clusters of each cluster.
+  std::vector<eidx> offsets(rows + 1, 0);
+  parallel_region([&] {
+    std::vector<vidx> marker(rows, -1);
+#pragma omp for schedule(dynamic, 64) nowait
+    for (std::size_t c = 0; c < rows; ++c) {
+      const auto self = static_cast<vidx>(c);
+      eidx count = 0;
+      for (const vidx v : idx.members(self)) {
+        for (const vidx u : g.neighbors(v)) {
+          const vidx cu = assignment[static_cast<std::size_t>(u)];
+          if (cu != self && marker[static_cast<std::size_t>(cu)] != self) {
+            marker[static_cast<std::size_t>(cu)] = self;
+            ++count;
+          }
+        }
       }
+      offsets[c] = count;
     }
-    std::stable_sort(row.begin(), row.end(),
-                     [](const Arc& a, const Arc& b) { return a.to < b.to; });
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < row.size();) {
-      Arc merged = row[i];
-      std::size_t j = i + 1;
-      while (j < row.size() && row[j].to == merged.to) {
-        merged.weight += row[j].weight;
-        ++j;
-      }
-      row[out++] = merged;
-      i = j;
-    }
-    row.resize(out);
   });
-
-  std::vector<eidx> offsets(static_cast<std::size_t>(m) + 1, 0);
-  for (vidx c = 0; c < m; ++c) {
-    offsets[static_cast<std::size_t>(c) + 1] =
-        offsets[static_cast<std::size_t>(c)] +
-        static_cast<eidx>(rows[static_cast<std::size_t>(c)].size());
-  }
-  std::vector<vidx> targets(static_cast<std::size_t>(offsets.back()));
-  std::vector<double> weights(static_cast<std::size_t>(offsets.back()));
-  parallel_for(static_cast<std::size_t>(m), [&](std::size_t c) {
-    auto k = static_cast<std::size_t>(offsets[c]);
-    for (const Arc& a : rows[c]) {
-      targets[k] = a.to;
-      weights[k] = a.weight;
-      ++k;
+  const eidx num_arcs = exclusive_scan_inplace(offsets);
+  // Pass 2: accumulate each row in a per-thread dense array, then sort the
+  // row's targets and gather their sums.
+  std::vector<vidx> targets(static_cast<std::size_t>(num_arcs));
+  std::vector<double> weights(static_cast<std::size_t>(num_arcs));
+  parallel_region([&] {
+    std::vector<vidx> marker(rows, -1);
+    std::vector<double> sum(rows);
+#pragma omp for schedule(dynamic, 64) nowait
+    for (std::size_t c = 0; c < rows; ++c) {
+      const auto self = static_cast<vidx>(c);
+      const auto lo = static_cast<std::size_t>(offsets[c]);
+      const auto hi = static_cast<std::size_t>(offsets[c + 1]);
+      std::size_t out = lo;
+      for (const vidx v : idx.members(self)) {
+        const auto nbrs = g.neighbors(v);
+        const auto ws = g.weights(v);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          const vidx cu = assignment[static_cast<std::size_t>(nbrs[i])];
+          if (cu == self) continue;
+          const auto t = static_cast<std::size_t>(cu);
+          if (marker[t] != self) {
+            marker[t] = self;
+            sum[t] = ws[i];
+            targets[out++] = cu;
+          } else {
+            sum[t] += ws[i];
+          }
+        }
+      }
+      std::sort(targets.begin() + static_cast<std::ptrdiff_t>(lo),
+                targets.begin() + static_cast<std::ptrdiff_t>(hi));
+      for (std::size_t k = lo; k < hi; ++k) {
+        weights[k] = sum[static_cast<std::size_t>(targets[k])];
+      }
     }
   });
   // from_csr revalidates the assembled structure (symmetry included).

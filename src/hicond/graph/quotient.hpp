@@ -3,8 +3,9 @@
 // For a partition P = {V_1, ..., V_m} of the vertices of A, the quotient
 // graph Q (Definition 3.1) has one vertex r_i per cluster and edge weights
 // w(r_i, r_j) = cap(V_i, V_j). Algebraically Q = R' A R where R is the 0-1
-// membership matrix; both constructions are provided (the algebraic path
-// lives in la/spgemm and is tested against this one).
+// membership matrix (Remark 1); quotient_graph assembles the same matrix
+// directly, one owner-computed row per cluster, and the tests check it
+// against the algebraic product spgemm(spgemm(R', L), R) of la/spgemm.
 #pragma once
 
 #include <vector>

@@ -1,7 +1,6 @@
 #include "hicond/la/spgemm.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "hicond/util/parallel.hpp"
 
@@ -79,28 +78,6 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b) {
   });
   HICOND_RUN_VALIDATION(expensive, c.validate());
   return c;
-}
-
-CsrMatrix quotient_triple_product(const CsrMatrix& a,
-                                  std::span<const vidx> assignment, vidx m) {
-  HICOND_CHECK(a.rows == a.cols, "quotient of non-square matrix");
-  HICOND_CHECK(assignment.size() == static_cast<std::size_t>(a.rows),
-               "assignment size mismatch");
-  // Q(ci, cj) = sum over entries A(u, v) with assignment[u] = ci,
-  // assignment[v] = cj. Accumulate as triplets per cluster row.
-  std::vector<std::tuple<vidx, vidx, double>> triplets;
-  triplets.reserve(static_cast<std::size_t>(a.nnz()));
-  for (vidx u = 0; u < a.rows; ++u) {
-    const vidx cu = assignment[static_cast<std::size_t>(u)];
-    HICOND_CHECK(cu >= 0 && cu < m, "assignment value out of range");
-    for (eidx k = a.offsets[static_cast<std::size_t>(u)];
-         k < a.offsets[static_cast<std::size_t>(u) + 1]; ++k) {
-      const vidx cv = assignment[static_cast<std::size_t>(
-          a.col_idx[static_cast<std::size_t>(k)])];
-      triplets.emplace_back(cu, cv, a.values[static_cast<std::size_t>(k)]);
-    }
-  }
-  return csr_from_triplets(m, m, triplets);
 }
 
 }  // namespace hicond

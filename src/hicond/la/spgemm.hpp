@@ -1,6 +1,7 @@
-// Sparse matrix-matrix products, including the quotient triple product
-// Q = R' A R of Remark 1 ("the quotient graph can be expressed algebraically
-// as Q = R^T A R ... computed via parallel sparse matrix multiplication").
+// Sparse matrix-matrix products. spgemm(spgemm(R', A), R) is the algebraic
+// quotient Q = R' A R of Remark 1 ("the quotient graph can be expressed
+// algebraically as Q = R^T A R ... computed via parallel sparse matrix
+// multiplication"); the tests hold graph/quotient's assembly to it.
 #pragma once
 
 #include "hicond/la/csr.hpp"
@@ -10,10 +11,5 @@ namespace hicond {
 /// General SpGEMM C = A * B (Gustavson with a dense accumulator per row,
 /// rows processed in parallel).
 [[nodiscard]] CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Q = R' A R for a membership assignment (specialized: O(nnz(A)) without
-/// materializing R). Returns the m x m quotient Laplacian.
-[[nodiscard]] CsrMatrix quotient_triple_product(
-    const CsrMatrix& a, std::span<const vidx> assignment, vidx m);
 
 }  // namespace hicond

@@ -7,7 +7,9 @@
 #include "hicond/partition/backends/fixed_degree_backend.hpp"
 #include "hicond/partition/backends/louvain.hpp"
 #include "hicond/partition/backends/low_diameter.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/util/common.hpp"
+#include "hicond/util/parallel.hpp"
 
 namespace hicond::partition {
 
@@ -107,47 +109,61 @@ std::string backend_options_key(const BackendOptions& options) {
 
 void validate_backend_output(const Graph& g, const Decomposition& d,
                              std::string_view backend_name) {
-  // One fused O(n + m) scan subsuming Decomposition::validate: a restricted
-  // DFS per cluster. Every vertex is checked for a well-ranged cluster id at
-  // the moment it becomes a root (DFS discovery only compares ids, so an
-  // out-of-range vertex always surfaces as its own root). A cluster reached
-  // from two distinct roots is internally disconnected -- its closure
-  // conductance is 0 and quotient contraction would break -- and a cluster
-  // never rooted at all is empty; both reject the output at the boundary.
+  // An O(n + m) check subsuming Decomposition::validate, in three parallel
+  // sweeps that each throw the violation of their lowest vertex or cluster:
+  // every vertex carries a well-ranged cluster id; a search from each
+  // cluster's lowest member, restricted to its members, covers the cluster
+  // (otherwise it is internally disconnected -- its closure conductance is 0
+  // and quotient contraction would break); no cluster id is empty. Each
+  // rejects the output at the boundary.
   HICOND_CHECK(d.num_clusters >= 0, "cluster count must be nonnegative");
   HICOND_CHECK(d.assignment.size() == static_cast<std::size_t>(g.num_vertices()),
                "assignment size mismatch (orphan or surplus vertices)");
-  const vidx n = g.num_vertices();
-  std::vector<char> visited(static_cast<std::size_t>(n), 0);
-  std::vector<char> rooted(static_cast<std::size_t>(d.num_clusters), 0);
-  std::vector<vidx> stack;
-  for (vidx root = 0; root < n; ++root) {
-    if (visited[static_cast<std::size_t>(root)]) continue;
-    const vidx c = d.assignment[static_cast<std::size_t>(root)];
+  parallel_check(d.assignment.size(), [&](std::size_t v) {
+    const vidx c = d.assignment[v];
     HICOND_CHECK(c >= 0 && c < d.num_clusters,
                  "cluster id out of range (unassigned vertex?)");
-    HICOND_CHECK(!rooted[static_cast<std::size_t>(c)],
+  });
+  const ClusterIndex idx = ClusterIndex::build(d.assignment, d.num_clusters);
+  const auto clusters = static_cast<std::size_t>(d.num_clusters);
+  std::vector<char> covered(clusters, 0);
+  parallel_region([&] {
+    // seen[u] == c: u was reached by cluster c's search (per thread, so
+    // concurrent searches never share a cache line).
+    std::vector<vidx> seen(d.assignment.size(), -1);
+    std::vector<vidx> stack;
+#pragma omp for schedule(dynamic, 64) nowait
+    for (vidx c = 0; c < d.num_clusters; ++c) {
+      const auto members = idx.members(c);
+      std::size_t reached = 0;
+      if (!members.empty()) {
+        reached = 1;
+        seen[static_cast<std::size_t>(members.front())] = c;
+        stack.assign(1, members.front());
+      }
+      while (!stack.empty()) {
+        const vidx v = stack.back();
+        stack.pop_back();
+        for (const vidx u : g.neighbors(v)) {
+          const auto ui = static_cast<std::size_t>(u);
+          if (seen[ui] == c || d.assignment[ui] != c) continue;
+          seen[ui] = c;
+          ++reached;
+          stack.push_back(u);
+        }
+      }
+      covered[static_cast<std::size_t>(c)] = reached == members.size();
+    }
+  });
+  parallel_check(clusters, [&](std::size_t c) {
+    HICOND_CHECK(covered[c],
                  "backend \"" + std::string(backend_name) +
                      "\" produced an internally disconnected cluster");
-    rooted[static_cast<std::size_t>(c)] = 1;
-    visited[static_cast<std::size_t>(root)] = 1;
-    stack.assign(1, root);
-    while (!stack.empty()) {
-      const vidx v = stack.back();
-      stack.pop_back();
-      for (const vidx u : g.neighbors(v)) {
-        if (visited[static_cast<std::size_t>(u)] ||
-            d.assignment[static_cast<std::size_t>(u)] != c) {
-          continue;
-        }
-        visited[static_cast<std::size_t>(u)] = 1;
-        stack.push_back(u);
-      }
-    }
-  }
-  for (vidx c = 0; c < d.num_clusters; ++c) {
-    HICOND_CHECK(rooted[static_cast<std::size_t>(c)], "empty cluster id");
-  }
+  });
+  parallel_check(clusters, [&](std::size_t c) {
+    HICOND_CHECK(!idx.members(static_cast<vidx>(c)).empty(),
+                 "empty cluster id");
+  });
 }
 
 Decomposition checked_decompose(const Graph& g,

@@ -26,7 +26,7 @@ Decomposition FixedDegreeBackend::decompose(
   fd.max_cluster_size = options.max_cluster_size;
   fd.seed = options.seed;
   fd.perturb = options.perturb;
-  return fixed_degree_decomposition(g, fd).decomposition;
+  return fixed_degree_clusters(g, fd);
 }
 
 }  // namespace hicond::partition

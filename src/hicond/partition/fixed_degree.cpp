@@ -1,9 +1,9 @@
 #include "hicond/partition/fixed_degree.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
-#include "hicond/graph/builder.hpp"
-#include "hicond/graph/connectivity.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/tree/tree_splitting.hpp"
 #include "hicond/util/common.hpp"
@@ -32,18 +32,12 @@ struct Pick {
   double w_orig = 0.0;
 };
 
-}  // namespace
-
-namespace {
-
-/// Pass [1]+[2] returning the picked forest in both weightings: perturbed
-/// (for the unimodal splitting) and original (for preconditioning).
-void heaviest_forest_pair(const Graph& g, std::uint64_t seed, bool perturb,
-                          Graph* perturbed_out, Graph* original_out) {
+/// Pass [1]+[2]: every vertex's heaviest perturbed incident edge. Fully
+/// parallel; the counter-based perturbation needs no shared state.
+std::vector<Pick> heaviest_picks(const Graph& g, std::uint64_t seed,
+                                 bool perturb) {
   const vidx n = g.num_vertices();
   std::vector<Pick> pick(static_cast<std::size_t>(n));
-  // Per-vertex max over perturbed incident edges. Fully parallel; the
-  // counter-based perturbation needs no shared state.
   parallel_for(static_cast<std::size_t>(n), [&](std::size_t v) {
     const auto nbrs = g.neighbors(static_cast<vidx>(v));
     const auto ws = g.weights(static_cast<vidx>(v));
@@ -59,28 +53,86 @@ void heaviest_forest_pair(const Graph& g, std::uint64_t seed, bool perturb,
     }
     pick[v] = best;
   });
-  GraphBuilder b_hat(n);
-  GraphBuilder b_orig(n);
-  for (vidx v = 0; v < n; ++v) {
-    const Pick& p = pick[static_cast<std::size_t>(v)];
-    // Each undirected edge may be picked from both sides; add it once.
-    if (p.to >= 0 && (v < p.to ||
-                      pick[static_cast<std::size_t>(p.to)].to != v)) {
-      b_hat.add_edge(v, p.to, p.w_hat);
-      if (original_out != nullptr) b_orig.add_edge(v, p.to, p.w_orig);
+  return pick;
+}
+
+/// The forest B spanned by the picks, with each edge weighted by its
+/// picker's `weight` (w_hat or w_orig); an edge picked from both sides takes
+/// its lower endpoint's weight. Whoever picks v is a neighbour of v in g, so
+/// row v is the ascending scan of v's g-row keeping pick[v] and the vertices
+/// that picked v: owner-computes rows, no scatter, and from_csr validates
+/// the result.
+Graph forest_from_picks(const Graph& g, const std::vector<Pick>& pick,
+                        double Pick::*weight) {
+  const vidx n = g.num_vertices();
+  auto in_forest = [&](vidx v, vidx u) {
+    return pick[static_cast<std::size_t>(v)].to == u ||
+           pick[static_cast<std::size_t>(u)].to == v;
+  };
+  std::vector<eidx> offsets(static_cast<std::size_t>(n) + 1, 0);
+  parallel_for(static_cast<std::size_t>(n), [&](std::size_t v) {
+    eidx count = 0;
+    for (const vidx u : g.neighbors(static_cast<vidx>(v))) {
+      count += in_forest(static_cast<vidx>(v), u) ? 1 : 0;
     }
+    offsets[v] = count;
+  });
+  const eidx arcs = exclusive_scan_inplace(offsets);
+  std::vector<vidx> targets(static_cast<std::size_t>(arcs));
+  std::vector<double> weights(static_cast<std::size_t>(arcs));
+  parallel_for(static_cast<std::size_t>(n), [&](std::size_t i) {
+    const auto v = static_cast<vidx>(i);
+    auto out = static_cast<std::size_t>(offsets[i]);
+    for (const vidx u : g.neighbors(v)) {
+      if (!in_forest(v, u)) continue;
+      const bool mutual = pick[i].to == u &&
+                          pick[static_cast<std::size_t>(u)].to == v;
+      const vidx picker = mutual ? std::min(u, v) : (pick[i].to == u ? v : u);
+      targets[out] = u;
+      weights[out] = pick[static_cast<std::size_t>(picker)].*weight;
+      ++out;
+    }
+  });
+  return Graph::from_csr(n, std::move(offsets), std::move(targets),
+                         std::move(weights));
+}
+
+/// Passes [1]-[3] with the picks and the perturbed forest they spanned.
+struct Contraction {
+  std::vector<Pick> picks;
+  Graph perturbed_forest;
+  Decomposition decomposition;
+};
+
+Contraction contract(const Graph& g, const FixedDegreeOptions& opt) {
+  HICOND_CHECK(opt.max_cluster_size >= 2, "max_cluster_size must be >= 2");
+  Contraction c;
+  c.picks = heaviest_picks(g, opt.seed, opt.perturb);
+  c.perturbed_forest = forest_from_picks(g, c.picks, &Pick::w_hat);
+  // Pass [3]: bounded-size splitting on the perturbed weights (heaviest
+  // perturbed edges merge first, preserving the unimodal structure). Its
+  // acyclicity test is the level's only one on the common path.
+  HICOND_SPAN("fixed_degree.split");
+  if (auto d = try_split_forest_bounded(c.perturbed_forest,
+                                        opt.max_cluster_size)) {
+    c.decomposition = std::move(*d);
+    return c;
   }
-  if (perturbed_out != nullptr) *perturbed_out = b_hat.build();
-  if (original_out != nullptr) *original_out = b_orig.build();
+  // Only reachable with perturb = false and tied weights; fall back to the
+  // perturbed construction to restore the forest guarantee (the checked
+  // split tests it again).
+  c.picks = heaviest_picks(g, opt.seed, /*perturb=*/true);
+  c.perturbed_forest = forest_from_picks(g, c.picks, &Pick::w_hat);
+  c.decomposition =
+      split_forest_bounded(c.perturbed_forest, opt.max_cluster_size);
+  return c;
 }
 
 }  // namespace
 
 Graph heaviest_incident_edge_forest(const Graph& g, std::uint64_t seed,
                                     bool perturb) {
-  Graph forest;
-  heaviest_forest_pair(g, seed, perturb, &forest, nullptr);
-  return forest;
+  return forest_from_picks(g, heaviest_picks(g, seed, perturb), &Pick::w_hat);
 }
 
 bool is_unimodal_forest(const Graph& forest) {
@@ -108,26 +160,23 @@ bool is_unimodal_forest(const Graph& forest) {
 
 FixedDegreeResult fixed_degree_decomposition(const Graph& g,
                                              const FixedDegreeOptions& opt) {
-  HICOND_CHECK(opt.max_cluster_size >= 2, "max_cluster_size must be >= 2");
   HICOND_SPAN("fixed_degree.decompose");
-  FixedDegreeResult result;
-  heaviest_forest_pair(g, opt.seed, opt.perturb, &result.perturbed_forest,
-                       &result.forest);
-  if (!is_forest(result.perturbed_forest)) {
-    // Only reachable with perturb = false and tied weights; fall back to the
-    // perturbed construction to restore the forest guarantee.
-    heaviest_forest_pair(g, opt.seed, /*perturb=*/true,
-                         &result.perturbed_forest, &result.forest);
-  }
-  // Pass [3]: bounded-size splitting on the perturbed weights (heaviest
-  // perturbed edges merge first, preserving the unimodal structure).
-  HICOND_SPAN("fixed_degree.split");
-  result.decomposition =
-      split_forest_bounded(result.perturbed_forest, opt.max_cluster_size);
+  Contraction c = contract(g, opt);
+  FixedDegreeResult result{std::move(c.decomposition),
+                           forest_from_picks(g, c.picks, &Pick::w_orig),
+                           std::move(c.perturbed_forest)};
   HICOND_RUN_VALIDATION(expensive, result.decomposition.validate(g));
   HICOND_RUN_VALIDATION(expensive, result.forest.validate());
   HICOND_RUN_VALIDATION(expensive, result.perturbed_forest.validate());
   return result;
+}
+
+Decomposition fixed_degree_clusters(const Graph& g,
+                                    const FixedDegreeOptions& opt) {
+  HICOND_SPAN("fixed_degree.decompose");
+  Decomposition d = contract(g, opt).decomposition;
+  HICOND_RUN_VALIDATION(expensive, d.validate(g));
+  return d;
 }
 
 }  // namespace hicond

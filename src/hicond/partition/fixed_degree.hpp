@@ -39,6 +39,11 @@ struct FixedDegreeResult {
 [[nodiscard]] FixedDegreeResult fixed_degree_decomposition(
     const Graph& g, const FixedDegreeOptions& options = {});
 
+/// The decomposition of fixed_degree_decomposition alone, without
+/// assembling the original-weight forest (what contraction consumes).
+[[nodiscard]] Decomposition fixed_degree_clusters(
+    const Graph& g, const FixedDegreeOptions& options = {});
+
 /// Pass [1]+[2] only: the heaviest-incident-edge forest under the perturbed
 /// weights, returned with perturbed weights. Exposed for tests of the
 /// unimodality property.

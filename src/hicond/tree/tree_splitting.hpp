@@ -10,6 +10,8 @@
 // component allows it).
 #pragma once
 
+#include <optional>
+
 #include "hicond/graph/graph.hpp"
 #include "hicond/partition/decomposition.hpp"
 
@@ -20,5 +22,11 @@ namespace hicond {
 /// acyclic input graph and max_cluster_size >= 2.
 [[nodiscard]] Decomposition split_forest_bounded(const Graph& forest,
                                                  vidx max_cluster_size);
+
+/// split_forest_bounded, or std::nullopt when `forest` has a cycle. The
+/// acyclicity test shares the split's connected-components pass, so a
+/// caller that must test is_forest anyway pays for one pass, not two.
+[[nodiscard]] std::optional<Decomposition> try_split_forest_bounded(
+    const Graph& forest, vidx max_cluster_size);
 
 }  // namespace hicond

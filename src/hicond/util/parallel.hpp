@@ -22,6 +22,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <omp.h>
 #include <vector>
@@ -151,6 +153,37 @@ bool parallel_any(std::size_t n, Fn&& fn) {
     if (p) return true;
   }
   return false;
+}
+
+/// Run check(i) for every i in [0, n) in parallel, where check throws on a
+/// violation. If any call throws, rethrow the exception of the LOWEST
+/// throwing i -- exactly what a serial loop over [0, n) would throw -- so
+/// the error a caller sees does not depend on the thread count. Each thread
+/// stops checking once it has a failure below its remaining iterations.
+template <typename Check>
+void parallel_check(std::size_t n, Check&& check) {
+  struct Failure {
+    std::size_t index = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+  };
+  std::vector<Failure> failures(static_cast<std::size_t>(num_threads()));
+  parallel_region([&] {
+    Failure& mine = failures[static_cast<std::size_t>(omp_get_thread_num())];
+#pragma omp for schedule(static) nowait
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > mine.index) continue;
+      try {
+        check(i);
+      } catch (...) {
+        mine = {i, std::current_exception()};
+      }
+    }
+  });
+  const Failure* first = nullptr;
+  for (const Failure& f : failures) {
+    if (f.error && (first == nullptr || f.index < first->index)) first = &f;
+  }
+  if (first != nullptr) std::rethrow_exception(first->error);
 }
 
 /// Parallel max-reduction of fn(i) over [0, n). Returns `init` when n == 0.

@@ -6,6 +6,7 @@
 // with every registered backend.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <memory>
 #include <set>
@@ -199,6 +200,57 @@ TEST(BackendBoundary, RejectsDisconnectedClusters) {
   d.num_clusters = 2;
   EXPECT_THROW(partition::validate_backend_output(g, d, "test"),
                invalid_argument_error);
+}
+
+/// The what() of the invalid_argument_error validate_backend_output throws
+/// on (g, d) with the OpenMP thread count set to `threads`; empty when the
+/// output is accepted.
+std::string boundary_rejection_at(int threads, const Graph& g,
+                                  const Decomposition& d) {
+  const int ambient = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  std::string what;
+  try {
+    partition::validate_backend_output(g, d, "test");
+  } catch (const invalid_argument_error& e) {
+    what = e.what();
+  }
+  omp_set_num_threads(ambient);
+  return what;
+}
+
+TEST(BackendBoundary, SameRejectionAtOneAndFourThreads) {
+  // A 64 x 64 grid clustered by rows (each row a connected path), with one
+  // defect per case in the last quarter of the vertices and clusters.
+  constexpr vidx kSide = 64;
+  const Graph g = gen::grid2d(kSide, kSide, gen::WeightSpec::unit(), 1);
+  Decomposition rows;
+  for (vidx v = 0; v < g.num_vertices(); ++v) rows.assignment.push_back(v / kSide);
+  rows.num_clusters = kSide;
+  ASSERT_EQ(boundary_rejection_at(4, g, rows), "");
+  struct Case {
+    const char* needle;
+    Decomposition d;
+  };
+  Decomposition out_of_range = rows;
+  out_of_range.assignment[3500] = kSide;
+  // The last vertex of row 50 moves to row 52: row 50 stays a path, row 52
+  // gains a member it cannot reach.
+  Decomposition disconnected = rows;
+  disconnected.assignment[50 * kSide + kSide - 1] = 52;
+  Decomposition empty_id = rows;
+  empty_id.num_clusters = kSide + 1;
+  const Case cases[] = {
+      {"cluster id out of range", out_of_range},
+      {"internally disconnected cluster", disconnected},
+      {"empty cluster id", empty_id},
+  };
+  for (const Case& tc : cases) {
+    const std::string serial = boundary_rejection_at(1, g, tc.d);
+    EXPECT_NE(serial.find(tc.needle), std::string::npos)
+        << "message was: " << serial;
+    EXPECT_EQ(boundary_rejection_at(4, g, tc.d), serial) << tc.needle;
+  }
 }
 
 TEST(BackendBoundary, CheckedDecomposeRejectsAMalformedBackend) {

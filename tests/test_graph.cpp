@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "hicond/graph/generators.hpp"
@@ -179,6 +182,74 @@ TEST(GraphValidation, RejectsBadEdges) {
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// --- shared storage -------------------------------------------------------
+
+/// Serial checksum over every row of `g` (no OpenMP, so it can run inside
+/// plain threads).
+double row_checksum(const Graph& g) {
+  double sum = 0.0;
+  for (vidx v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    const auto ws = g.weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      sum += ws[i] * static_cast<double>(nbrs[i] + 1) + g.vol(v);
+    }
+  }
+  return sum;
+}
+
+TEST(GraphSharedStorage, CopyOutlivesItsSource) {
+  auto source = std::make_unique<Graph>(
+      gen::grid2d(9, 7, gen::WeightSpec::uniform(1.0, 3.0), 4));
+  const std::vector<WeightedEdge> edges = source->edge_list();
+  const double volume = source->total_volume();
+  const Graph copy = *source;
+  source.reset();
+  EXPECT_EQ(copy.edge_list(), edges);
+  EXPECT_EQ(copy.total_volume(), volume);
+  copy.validate();
+}
+
+TEST(GraphSharedStorage, CopiesAreIdenticalToTheirSource) {
+  const Graph source = gen::grid2d(9, 7, gen::WeightSpec::uniform(1.0, 3.0), 4);
+  Graph copy;
+  copy = source;
+  EXPECT_TRUE(copy.identical_to(source));
+  EXPECT_TRUE(source.identical_to(copy));
+  EXPECT_EQ(copy.neighbors(3).data(), source.neighbors(3).data());
+  // Equal content in storage of its own is still identical; other content
+  // is not.
+  const Graph rebuilt(source.num_vertices(), source.edge_list());
+  EXPECT_NE(rebuilt.neighbors(3).data(), source.neighbors(3).data());
+  EXPECT_TRUE(rebuilt.identical_to(source));
+  const Graph other = gen::grid2d(9, 7, gen::WeightSpec::uniform(1.0, 3.0), 5);
+  EXPECT_FALSE(other.identical_to(source));
+  // A move is a copy: both sides remain the same valid graph.
+  const Graph moved = std::move(copy);
+  EXPECT_TRUE(moved.identical_to(source));
+  EXPECT_TRUE(copy.identical_to(source));  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(GraphSharedStorage, CopiesReadConcurrentlyFromFourThreads) {
+  // Each thread repeatedly copies the graph, reads every row through its
+  // copy and drops it, so reference counts and reads of the one storage
+  // block interleave across threads (the tsan preset checks the races).
+  const Graph g = gen::grid2d(30, 30, gen::WeightSpec::uniform(1.0, 3.0), 8);
+  const double expected = row_checksum(g);
+  std::vector<double> got(4, 0.0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&g, &got, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        const Graph copy = g;
+        got[t] = row_checksum(copy);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const double sum : got) EXPECT_EQ(sum, expected);
 }
 
 TEST(GraphBlockKernels, FusedFormsMatchSpmvThenElementwise) {

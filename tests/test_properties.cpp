@@ -77,9 +77,10 @@ TEST_P(SeedSweep, QuotientGraphMatchesAlgebraicTripleProduct) {
   const Graph g = random_connected_graph(GetParam(), 50);
   const auto fd = fixed_degree_decomposition(g, {.max_cluster_size = 3});
   const Graph q = quotient_graph(g, fd.decomposition.assignment);
-  const CsrMatrix q_alg = quotient_triple_product(
-      csr_laplacian(g), fd.decomposition.assignment,
-      fd.decomposition.num_clusters);
+  const CsrMatrix r = membership_matrix(fd.decomposition.assignment,
+                                       fd.decomposition.num_clusters);
+  const CsrMatrix q_alg =
+      spgemm(spgemm(csr_transpose(r), csr_laplacian(g)), r);
   for (vidx i = 0; i < q.num_vertices(); ++i) {
     for (vidx j : q.neighbors(i)) {
       EXPECT_NEAR(q_alg.at(i, j), -q.edge_weight(i, j), 1e-10);

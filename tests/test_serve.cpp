@@ -63,6 +63,25 @@ Graph test_graph() {
   return gen::grid2d(12, 12, gen::WeightSpec::uniform(0.5, 2.0), 5);
 }
 
+// --- cache: footprint estimate ---------------------------------------------
+
+TEST(ServeCache, SolverBytesEstimateIsPinned) {
+  // The solver's graph and hierarchy level 0 share one CSR block, but the
+  // estimate still counts both (it is deliberately conservative); the pin
+  // holds it to the value computed before graphs shared storage.
+  const Graph g = gen::grid2d(40, 40, gen::WeightSpec::uniform(0.5, 2.0), 5);
+  HierarchyCache cache(std::size_t{64} << 20);
+  const auto built =
+      cache.get_or_build(serve::graph_fingerprint(g), g, LaplacianSolverOptions{});
+  const LaplacianSolver& solver = *built.solver;
+  ASSERT_FALSE(solver.multilevel().hierarchy().levels.empty());
+  EXPECT_EQ(solver.graph().neighbors(0).data(),
+            solver.multilevel().hierarchy().levels.front().graph.neighbors(0).data());
+  constexpr std::size_t kPinnedBytes = 306084;
+  EXPECT_EQ(serve::approx_solver_bytes(solver), kPinnedBytes);
+  EXPECT_EQ(cache.stats().bytes, kPinnedBytes);
+}
+
 // --- cache: cold vs warm bitwise identity ---------------------------------
 
 TEST(ServeCache, WarmSolveBitwiseIdenticalToCold) {

@@ -3,7 +3,10 @@
 // the violated invariant.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -126,6 +129,108 @@ TEST(GraphFromCsr, RejectsTargetOutOfRange) {
   expect_rejected(
       [&] { std::ignore = Graph::from_csr(3, t.offsets, t.targets, t.weights); },
       "target out of range");
+}
+
+// --- Rejection parity across thread counts ---------------------------------
+
+/// The what() of the invalid_argument_error `body` throws with the OpenMP
+/// thread count set to `threads`; empty when nothing is thrown.
+template <typename Body>
+std::string rejection_at(int threads, Body&& body) {
+  const int ambient = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  std::string what;
+  try {
+    body();
+  } catch (const invalid_argument_error& e) {
+    what = e.what();
+  }
+  omp_set_num_threads(ambient);
+  return what;
+}
+
+/// The CSR arrays of a graph, for corrupting.
+struct CsrArrays {
+  vidx n = 0;
+  std::vector<eidx> offsets;
+  std::vector<vidx> targets;
+  std::vector<double> weights;
+
+  explicit CsrArrays(const Graph& g) : n(g.num_vertices()) {
+    for (vidx v = 0; v < n; ++v) {
+      offsets.push_back(g.arc_begin(v));
+      targets.insert(targets.end(), g.neighbors(v).begin(),
+                     g.neighbors(v).end());
+      weights.insert(weights.end(), g.weights(v).begin(), g.weights(v).end());
+    }
+    offsets.push_back(g.num_arcs());
+  }
+
+  /// Index of v's last arc (on a grid, the arc to v's highest neighbour).
+  [[nodiscard]] std::size_t last_arc(vidx v) const {
+    return static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]) -
+           1;
+  }
+
+  void from_csr() const {
+    std::ignore = Graph::from_csr(n, offsets, targets, weights);
+  }
+};
+
+// A 64 x 64 grid splits into four 1024-vertex blocks at 4 threads. Each
+// defect sits in the last block, on an arc to a higher vertex, so the
+// defective row is the lowest violating one; the message at 4 threads must
+// be the serial one, character for character.
+TEST(GraphFromCsrParity, SameRejectionAtOneAndFourThreads) {
+  const Graph grid = gen::grid2d(64, 64, gen::WeightSpec::uniform(1.0, 2.0), 3);
+  constexpr vidx kRow = 3500;
+  struct Case {
+    const char* needle;
+    void (*corrupt)(CsrArrays&);
+  };
+  const Case cases[] = {
+      {"target out of range",
+       [](CsrArrays& c) { c.targets[c.last_arc(kRow)] = c.n; }},
+      {"self-loops",
+       [](CsrArrays& c) { c.targets[c.last_arc(kRow)] = kRow; }},
+      {"unsorted or duplicate arcs",
+       [](CsrArrays& c) {
+         const std::size_t k = c.last_arc(kRow);
+         std::swap(c.targets[k - 1], c.targets[k]);
+         std::swap(c.weights[k - 1], c.weights[k]);
+       }},
+      {"mirror arc missing",
+       // kRow + 64 -> kRow + 65: still sorted, but not a grid neighbour.
+       [](CsrArrays& c) { c.targets[c.last_arc(kRow)] += 1; }},
+      {"mirror arc weight differs",
+       [](CsrArrays& c) { c.weights[c.last_arc(kRow)] *= 2.0; }},
+      {"positive and finite",
+       [](CsrArrays& c) {
+         c.weights[c.last_arc(kRow)] = std::numeric_limits<double>::infinity();
+       }},
+  };
+  for (const Case& tc : cases) {
+    CsrArrays csr(grid);
+    tc.corrupt(csr);
+    const std::string serial = rejection_at(1, [&] { csr.from_csr(); });
+    EXPECT_NE(serial.find(tc.needle), std::string::npos)
+        << "message was: " << serial;
+    EXPECT_EQ(rejection_at(4, [&] { csr.from_csr(); }), serial) << tc.needle;
+  }
+}
+
+TEST(GraphFromCsrParity, LowestViolatingVertexWinsAtEveryThreadCount) {
+  // Two defects in different thread blocks: a NaN weight on vertex 3900 and
+  // an out-of-range target on vertex 200. The serial scan reaches 200 first.
+  const Graph grid = gen::grid2d(64, 64, gen::WeightSpec::unit(), 1);
+  CsrArrays csr(grid);
+  csr.weights[csr.last_arc(3900)] = std::nan("");
+  csr.targets[csr.last_arc(200)] = -1;
+  for (const int threads : {1, 2, 3, 4}) {
+    const std::string what = rejection_at(threads, [&] { csr.from_csr(); });
+    EXPECT_NE(what.find("target out of range"), std::string::npos)
+        << "threads=" << threads << " message was: " << what;
+  }
 }
 
 // --- CsrMatrix::validate --------------------------------------------------

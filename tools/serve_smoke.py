@@ -12,7 +12,10 @@ serving subsystem's contract:
   3. batch: an 8-RHS batched solve returns, per column, exactly the bits of
      the corresponding single-RHS solves (rhs_random seeds are seed+j).
      On multicore machines the batch must also beat the summed sequential
-     solve time; on single-core runners the timing is only reported.
+     solve time; on single-core runners the timing is only reported. Each
+     side's time is the best of three alternating rounds (the batch, then
+     the 8 sequential solves), so one stalled round on a busy host does not
+     decide the comparison.
   4. overload: a deadline_ms=0 request is shed with a well-formed
      deadline_exceeded error and the server keeps serving afterwards.
   5. shutdown: drains and exits 0.
@@ -29,6 +32,7 @@ import tempfile
 
 RHS_SEED = 100
 BATCH_K = 8
+TIMING_ROUNDS = 3
 
 
 def fail(message):
@@ -140,48 +144,53 @@ def main():
     )
     check(warm["iterations"] == cold["iterations"], "iteration count drifted")
 
-    batch = session.call(
-        {
-            "op": "batch_solve",
-            "graph": fingerprint,
-            "rhs_random": {"count": BATCH_K, "seed": RHS_SEED},
-        }
-    )
-    check(batch.get("ok") is True, f"batch solve failed: {batch}")
-    check(all(batch["converged"]), "batched column failed to converge")
-    check(
-        len(batch["solution_fnv"]) == BATCH_K,
-        f"expected {BATCH_K} solution hashes, got {batch}",
-    )
-
-    sequential_seconds = 0.0
-    for j, column_fnv in enumerate(batch["solution_fnv"]):
-        single = session.call(
-            {"op": "solve", "graph": fingerprint, "rhs_seed": RHS_SEED + j}
+    best_batch = best_sequential = float("inf")
+    for _ in range(TIMING_ROUNDS):
+        batch = session.call(
+            {
+                "op": "batch_solve",
+                "graph": fingerprint,
+                "rhs_random": {"count": BATCH_K, "seed": RHS_SEED},
+            }
         )
-        check(single.get("ok") is True, f"sequential solve {j} failed")
+        check(batch.get("ok") is True, f"batch solve failed: {batch}")
+        check(all(batch["converged"]), "batched column failed to converge")
         check(
-            single["solution_fnv"] == column_fnv,
-            f"batched column {j} ({column_fnv}) is not bitwise equal to the "
-            f"sequential solve ({single['solution_fnv']})",
+            len(batch["solution_fnv"]) == BATCH_K,
+            f"expected {BATCH_K} solution hashes, got {batch}",
         )
-        check(
-            single["iterations"] == batch["iterations"][j],
-            f"batched column {j} took {batch['iterations'][j]} iterations, "
-            f"sequential took {single['iterations']}",
-        )
-        sequential_seconds += single["solve_seconds"]
 
-    ratio = batch["solve_seconds"] / max(sequential_seconds, 1e-12)
+        sequential_seconds = 0.0
+        for j, column_fnv in enumerate(batch["solution_fnv"]):
+            single = session.call(
+                {"op": "solve", "graph": fingerprint, "rhs_seed": RHS_SEED + j}
+            )
+            check(single.get("ok") is True, f"sequential solve {j} failed")
+            check(
+                single["solution_fnv"] == column_fnv,
+                f"batched column {j} ({column_fnv}) is not bitwise equal to "
+                f"the sequential solve ({single['solution_fnv']})",
+            )
+            check(
+                single["iterations"] == batch["iterations"][j],
+                f"batched column {j} took {batch['iterations'][j]} "
+                f"iterations, sequential took {single['iterations']}",
+            )
+            sequential_seconds += single["solve_seconds"]
+        best_batch = min(best_batch, batch["solve_seconds"])
+        best_sequential = min(best_sequential, sequential_seconds)
+
+    ratio = best_batch / max(best_sequential, 1e-12)
     print(
-        f"serve_smoke: batch {BATCH_K} RHS {batch['solve_seconds']:.6f}s vs "
-        f"sequential {sequential_seconds:.6f}s (ratio {ratio:.2f})"
+        f"serve_smoke: batch {BATCH_K} RHS {best_batch:.6f}s vs "
+        f"sequential {best_sequential:.6f}s (ratio {ratio:.2f}, best of "
+        f"{TIMING_ROUNDS} rounds each)"
     )
     if (os.cpu_count() or 1) > 1:
         check(
-            batch["solve_seconds"] < sequential_seconds,
-            f"batched solve ({batch['solve_seconds']}s) is not faster than "
-            f"{BATCH_K} sequential solves ({sequential_seconds}s)",
+            best_batch < best_sequential,
+            f"batched solve ({best_batch}s) is not faster than "
+            f"{BATCH_K} sequential solves ({best_sequential}s)",
         )
     else:
         print("serve_smoke: single-core runner; timing comparison reported "
