@@ -1,6 +1,7 @@
 #include "hicond/dynamic/repair.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "hicond/graph/closure.hpp"
@@ -14,6 +15,10 @@
 namespace hicond::dynamic {
 
 namespace {
+
+/// Clusters up to this size are scored exactly by closure_conductance
+/// (2^(|C|-1) bipartitions); larger ones by their closure's Cheeger bound.
+constexpr vidx kScanExactMaxMembers = 20;
 
 RepairResult declined(const char* reason) {
   RepairResult r;
@@ -77,29 +82,37 @@ RepairResult repair_decomposition(const Graph& new_graph,
   const double floor = repair.phi_floor >= 0.0
                            ? repair.phi_floor
                            : default_phi_floor(new_graph, options.contraction);
+  const std::vector<std::vector<vidx>> members =
+      cluster_members(d0.assignment, m_old);
   std::vector<char> is_dissolved(static_cast<std::size_t>(m_old), 0);
   vidx clusters_dirty = 0;
-  for (const vidx c : candidates) {
-    const ClosureGraph closure =
-        closure_graph_of_assignment(new_graph, d0.assignment, c);
-    bool dirty;
-    if (!is_connected(closure.graph)) {
-      // An internally disconnected cluster has closure conductance 0 (and
-      // would break the quotient's contraction semantics) -- always dirty.
-      dirty = true;
-    } else if (closure.graph.num_vertices() < 2) {
-      dirty = false;  // isolated vertex: no cuts, conductance is +infinity
-    } else {
-      const ConductanceBounds bounds =
-          conductance_bounds(closure.graph, repair.closure_exact_limit);
-      // The certified lower bound keeps this safe: a below-floor bound on a
-      // genuinely good cluster only costs an unnecessary re-clustering.
-      dirty = bounds.lower < floor;
+  {
+    HICOND_SPAN("dynamic.repair_scan");
+    for (const vidx c : candidates) {
+      const std::vector<vidx>& cluster = members[static_cast<std::size_t>(c)];
+      bool dirty;
+      if (cluster.size() <= static_cast<std::size_t>(kScanExactMaxMembers)) {
+        // Exact, from the cluster alone. An internally disconnected cluster
+        // scores 0 (weights are positive, so only then) and is always dirty:
+        // it would break the quotient's contraction semantics.
+        const double phi = closure_conductance(new_graph, cluster);
+        dirty = phi <= 0.0 || phi < floor;
+      } else {
+        const ClosureGraph closure = closure_graph(new_graph, cluster);
+        // The certified Cheeger lower bound keeps this safe: a below-floor
+        // bound on a genuinely good cluster only costs an unnecessary
+        // re-clustering.
+        dirty = !is_connected(closure.graph) ||
+                cheeger_lower_bound(closure.graph) < floor;
+      }
+      if (dirty) {
+        is_dissolved[static_cast<std::size_t>(c)] = 1;
+        ++clusters_dirty;
+      }
     }
-    if (dirty) {
-      is_dissolved[static_cast<std::size_t>(c)] = 1;
-      ++clusters_dirty;
-    }
+    obs::MetricsRegistry::global().counter_add(
+        "dynamic.clusters_scored",
+        static_cast<std::int64_t>(candidates.size()));
   }
 
   RepairResult result;
@@ -114,8 +127,6 @@ RepairResult repair_decomposition(const Graph& new_graph,
   } else {
     // --- 1-hop halo: clusters adjacent (in the updated graph) to a dirty
     // cluster get dissolved too, so the re-clustering can move the boundary.
-    const std::vector<std::vector<vidx>> members =
-        cluster_members(d0.assignment, m_old);
     std::vector<vidx> dissolved;
     for (vidx c = 0; c < m_old; ++c) {
       if (is_dissolved[static_cast<std::size_t>(c)]) dissolved.push_back(c);

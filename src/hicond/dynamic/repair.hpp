@@ -10,9 +10,16 @@
 // disconnected -- as *dirty*, dissolves the dirty set plus a 1-hop cluster
 // halo, re-runs the Section 3.1 fixed-degree clustering on that induced
 // subregion, and splices the result back with untouched clusters' ids
-// preserved. The upper hierarchy is rebuilt only when the level-0 quotient
-// actually changed (bitwise CSR comparison); otherwise every upper level and
-// the coarsest graph are reused as-is.
+// preserved.
+//
+// The dirty scan scores a cluster of at most 20 members exactly from its own
+// vertices (closure_conductance in graph/closure.hpp: boundary leaves sit on
+// their parent's side in an optimal closure cut, so only the 2^(|C|-1)
+// bipartitions of the cluster need enumerating), at a cost independent of
+// the graph size. A larger cluster builds its closure and is scored by the
+// certified Cheeger lower bound. The upper hierarchy is rebuilt only when
+// the level-0 quotient actually changed (bitwise CSR comparison); otherwise
+// every upper level and the coarsest graph are reused as-is.
 //
 // Repair *declines* (RepairResult::repaired == false, with a reason) when it
 // would not be cheaper or meaningful: a hierarchy built by a contraction
@@ -40,9 +47,6 @@ struct RepairOptions {
   /// past that point a cold rebuild is at least as cheap and yields the
   /// canonical (from-scratch) hierarchy.
   double max_dirty_volume_fraction = 0.25;
-  /// Closures up to this many vertices are scored exactly; larger ones use
-  /// their certified Cheeger lower bound (see graph/conductance.hpp).
-  vidx closure_exact_limit = 20;
 };
 
 struct RepairResult {

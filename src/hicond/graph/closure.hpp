@@ -7,6 +7,7 @@
 // conductance at least phi.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hicond/graph/graph.hpp"
@@ -28,5 +29,25 @@ struct ClosureGraph {
 /// cluster ids; -1 means unassigned and is treated as outside every cluster).
 [[nodiscard]] ClosureGraph closure_graph_of_assignment(
     const Graph& g, std::span<const vidx> assignment, vidx c);
+
+/// Exact conductance of the closure graph of `cluster`, computed from the
+/// cluster's own vertices without building the closure.
+///
+/// In G^o_C, putting every boundary leaf on its parent's side is optimal:
+/// moving leaves of total weight W off their parents adds W to the cut and
+/// at most W to the smaller side, and (c + W) / (m + W) >= min(c / m, 1).
+/// Leaf-only cuts have sparsity 1. Hence
+///   phi(G^o_C) = min(1, min over bipartitions (S, C-S) of
+///                       w(S, C-S) / min(vol^o(S), vol^o(C-S))),
+/// where vol^o(u) is u's degree plus the degrees of its leaves. The
+/// enumeration covers 2^(|C|-1) bipartitions, and every cut and volume is a
+/// sum of positive terms, so the result does not drift with |C|.
+///
+/// Returns 0 when the members are not connected among themselves (the
+/// cluster is internally disconnected), +infinity for a single member with
+/// no edges (its closure has no cuts), and otherwise a value in (0, 1].
+/// Requires 1 <= |cluster| <= 24, distinct vertices in range.
+[[nodiscard]] double closure_conductance(const Graph& g,
+                                         std::span<const vidx> cluster);
 
 }  // namespace hicond

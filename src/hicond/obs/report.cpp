@@ -5,6 +5,7 @@
 
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
+#include "hicond/graph/quotient.hpp"
 #include "hicond/obs/json.hpp"
 #include "hicond/util/stats.hpp"
 #include "hicond/util/timer.hpp"
@@ -20,9 +21,12 @@ void fill_phi_distribution(const Graph& g, const Decomposition& d,
   std::vector<double> lower;
   lower.reserve(static_cast<std::size_t>(d.num_clusters));
   bool all_exact = true;
+  // Members gathered once: O(n) per level, not O(n) per cluster.
+  const std::vector<std::vector<vidx>> members =
+      cluster_members(d.assignment, d.num_clusters);
   for (vidx c = 0; c < d.num_clusters; ++c) {
     const ClosureGraph closure =
-        closure_graph_of_assignment(g, d.assignment, c);
+        closure_graph(g, members[static_cast<std::size_t>(c)]);
     const ConductanceBounds bounds =
         conductance_bounds(closure.graph, exact_limit);
     // Single-vertex closures have no cuts (infinite conductance); clamp so

@@ -12,6 +12,8 @@
 #include "hicond/dynamic/repair.hpp"
 #include "hicond/dynamic/update.hpp"
 #include "hicond/graph/builder.hpp"
+#include "hicond/graph/closure.hpp"
+#include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/graph.hpp"
@@ -22,6 +24,7 @@
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/solver.hpp"
 #include "hicond/util/common.hpp"
+#include "hicond/util/rng.hpp"
 
 namespace hicond {
 namespace {
@@ -411,6 +414,57 @@ TEST(RepairDecomposition, DeclinesWhenDirtyRegionTooLarge) {
   EXPECT_FALSE(rr.repaired);
   EXPECT_EQ(rr.decline_reason, "dirty_volume_exceeded");
   EXPECT_GE(rr.clusters_dirty, 1);
+}
+
+TEST(RepairDecomposition, DirtyCountMatchesExactClosureOracle) {
+  // A bulk stroke: 5% of the edges weakened to [1e-3, 0.1].
+  const Graph g = gen::grid2d(24, 24, gen::WeightSpec::uniform(1.0, 2.0), 7);
+  const HierarchyOptions ho;
+  const LaminarHierarchy old = build_hierarchy(g, ho);
+  ASSERT_FALSE(old.levels.empty());
+  const Decomposition& d0 = old.levels.front().decomposition;
+  const std::vector<WeightedEdge> edges = g.edge_list();
+  Rng rng(2024);
+  std::vector<EdgeUpdate> batch;
+  for (const WeightedEdge& e : edges) {
+    if (rng.uniform() < 0.05) {
+      batch.push_back({UpdateKind::reweight, e.u, e.v, rng.uniform(1e-3, 0.1)});
+    }
+  }
+  ASSERT_FALSE(batch.empty());
+  const Graph h = dynamic::apply_updates(g, batch);
+  dynamic::RepairOptions ro;
+  ro.max_dirty_volume_fraction = 1.0;  // never decline: scan every candidate
+  const dynamic::RepairResult rr =
+      dynamic::repair_decomposition(h, batch, old, ho, ro);
+  ASSERT_TRUE(rr.repaired) << rr.decline_reason;
+
+  // Oracle: build each candidate's closure graph and score it by brute force
+  // against the default floor 1 / (2 d^2 k).
+  const double d = static_cast<double>(h.max_degree());
+  const double floor =
+      1.0 / (2.0 * d * d *
+             static_cast<double>(ho.contraction.max_cluster_size));
+  std::vector<vidx> candidates;
+  for (const vidx v : dynamic::touched_vertices(batch)) {
+    candidates.push_back(d0.assignment[static_cast<std::size_t>(v)]);
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  const std::vector<std::vector<vidx>> members =
+      cluster_members(d0.assignment, d0.num_clusters);
+  vidx oracle_dirty = 0;
+  for (const vidx c : candidates) {
+    const Graph closure =
+        closure_graph(h, members[static_cast<std::size_t>(c)]).graph;
+    ASSERT_LE(closure.num_vertices(), 24) << "cluster " << c;
+    if (!is_connected(closure) || conductance_exact(closure) < floor) {
+      ++oracle_dirty;
+    }
+  }
+  EXPECT_GT(oracle_dirty, 0);
+  EXPECT_EQ(rr.clusters_dirty, oracle_dirty);
 }
 
 TEST(RepairDecomposition, DeclinesFlatHierarchy) {

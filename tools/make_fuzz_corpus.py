@@ -185,12 +185,61 @@ def make_wire() -> None:
     write("wire", "empty", b"")
 
 
+# ---------------------------------------------------------------------------
+# closure: n = 1 + u8 % 10; member mask = u16 & (2^n - 1) (0 -> {0});
+# edges = u8 % 46, each u8 % n, u8 % n, u16 weight code c with weight
+# 10^(-6 + 12 c / 65535). Self-loops are skipped, parallel edges merge.
+# ---------------------------------------------------------------------------
+W_MIN, W_ONE, W_MAX = 0, 32768, 65535  # weight codes: 1e-6, ~1, 1e6
+
+
+def closure_input(n: int, members: list[int],
+                  edges: list[tuple[int, int, int]]) -> bytes:
+    mask = sum(1 << v for v in members)
+    out = u8(n - 1) + u16(mask) + u8(len(edges))
+    for a, b, code in edges:
+        out += u8(a) + u8(b) + u16(code)
+    return out
+
+
+def make_closure() -> None:
+    path = [(v, v + 1, W_ONE) for v in range(4)]
+    write("closure", "path_middle", closure_input(5, [1, 2, 3], path))
+    ring = [(v, (v + 1) % 6, W_MIN if v % 2 else W_MAX) for v in range(6)]
+    write("closure", "weight_spread", closure_input(6, [0, 1, 2, 3], ring))
+    write("closure", "disconnected_members",
+          closure_input(4, [0, 2], [(0, 1, W_ONE), (2, 3, W_ONE)]))
+    write("closure", "isolated_single",
+          closure_input(3, [2], [(0, 1, W_ONE)]))
+    # A member without edges: its side of every bipartition has volume 0.
+    write("closure", "isolated_member",
+          closure_input(3, [0, 2], [(0, 1, W_ONE)]))
+    k4 = [(a, b, 9000 * (a + 1) + 4000 * b)
+          for a in range(4) for b in range(a + 1, 4)]
+    write("closure", "whole_component", closure_input(4, [0, 1, 2, 3], k4))
+    # Two heavy triangles joined by a 1e-6 bridge, one light boundary edge.
+    dumbbell = [(0, 1, W_MAX), (1, 2, W_MAX), (0, 2, W_MAX),
+                (3, 4, W_MAX), (4, 5, W_MAX), (3, 5, W_MAX),
+                (2, 3, W_MIN), (5, 6, W_MIN)]
+    write("closure", "tiny_bridge",
+          closure_input(7, [0, 1, 2, 3, 4, 5], dumbbell))
+    ten = [(v, (v + 1) % 10, 6500 * v) for v in range(10)]
+    ten += [(v, (v + 3) % 10, 65535 - 6500 * v) for v in range(0, 10, 2)]
+    write("closure", "ring_with_chords",
+          closure_input(10, [0, 1, 2, 3, 4, 5], ten))
+    dense = [(a, b, (a * 7919 + b * 104729) % 65536)
+             for a in range(10) for b in range(a + 1, 10)]
+    write("closure", "complete_ten", closure_input(10, [0, 1, 2, 3, 4], dense))
+    write("closure", "empty", b"")
+
+
 def main() -> None:
     make_json()
     make_graph_csr()
     make_forest_parents()
     make_graph_io()
     make_wire()
+    make_closure()
 
 
 if __name__ == "__main__":
