@@ -81,7 +81,7 @@ std::vector<double> harmonic_extension(const Graph& g,
   if (static_cast<vidx>(interior.size()) <= opt.direct_limit) {
     // Exact solve; throws numeric_error when a component misses the
     // boundary (the block is then singular).
-    const SparseLDL f = SparseLDL::factor(luu, Ordering::rcm);
+    const SparseLDL f = SparseLDL::factor(luu);
     xu = f.solve(rhs);
   } else {
     auto a = [&luu](std::span<const double> in, std::span<double> out) {

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
-#include <queue>
 
 #include "hicond/obs/trace.hpp"
 
 namespace hicond {
 
-namespace {
-
 /// Reverse Cuthill-McKee: BFS from a pseudo-peripheral vertex, neighbours
 /// visited in increasing-degree order, final order reversed.
-std::vector<vidx> rcm(const CsrMatrix& a) {
+std::vector<vidx> compute_ordering(const CsrMatrix& a) {
+  HICOND_CHECK(a.rows == a.cols, "ordering of non-square matrix");
   const vidx n = a.rows;
   auto degree = [&a](vidx v) {
     return static_cast<vidx>(a.offsets[static_cast<std::size_t>(v) + 1] -
@@ -80,205 +77,12 @@ std::vector<vidx> rcm(const CsrMatrix& a) {
   return order;
 }
 
-/// Greedy minimum degree on an explicit elimination graph, with a lazy
-/// min-heap for vertex selection (stale entries are skipped on pop). The
-/// clique insertions still dominate asymptotically on fill-heavy inputs,
-/// but selection is O(log n) per step instead of O(n).
-std::vector<vidx> min_degree(const CsrMatrix& a) {
-  const vidx n = a.rows;
-  std::vector<std::vector<vidx>> adj(static_cast<std::size_t>(n));
-  std::vector<vidx> degree(static_cast<std::size_t>(n), 0);
-  for (vidx v = 0; v < n; ++v) {
-    for (eidx k = a.offsets[static_cast<std::size_t>(v)];
-         k < a.offsets[static_cast<std::size_t>(v) + 1]; ++k) {
-      const vidx u = a.col_idx[static_cast<std::size_t>(k)];
-      if (u != v) adj[static_cast<std::size_t>(v)].push_back(u);
-    }
-    auto& row = adj[static_cast<std::size_t>(v)];
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    degree[static_cast<std::size_t>(v)] = static_cast<vidx>(row.size());
-  }
-  // Lazy heap of (degree, vertex); entries go stale when degrees change.
-  using Entry = std::pair<vidx, vidx>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (vidx v = 0; v < n; ++v) {
-    heap.emplace(degree[static_cast<std::size_t>(v)], v);
-  }
-  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
-  std::vector<vidx> order;
-  order.reserve(static_cast<std::size_t>(n));
-  auto compact = [&](vidx u) {
-    auto& row = adj[static_cast<std::size_t>(u)];
-    row.erase(std::remove_if(row.begin(), row.end(),
-                             [&](vidx w) {
-                               return eliminated[static_cast<std::size_t>(w)];
-                             }),
-              row.end());
-  };
-  while (order.size() < static_cast<std::size_t>(n)) {
-    const auto [d, best] = heap.top();
-    heap.pop();
-    if (eliminated[static_cast<std::size_t>(best)] ||
-        d != degree[static_cast<std::size_t>(best)]) {
-      continue;  // stale entry
-    }
-    eliminated[static_cast<std::size_t>(best)] = 1;
-    order.push_back(best);
-    // Clique the live neighbours.
-    compact(best);
-    const std::vector<vidx>& live = adj[static_cast<std::size_t>(best)];
-    for (vidx u : live) {
-      compact(u);  // rows stay sorted: remove_if preserves relative order
-      auto& row = adj[static_cast<std::size_t>(u)];
-      for (vidx w : live) {
-        if (w == u) continue;
-        if (!std::binary_search(row.begin(), row.end(), w)) {
-          row.insert(std::upper_bound(row.begin(), row.end(), w), w);
-        }
-      }
-      degree[static_cast<std::size_t>(u)] = static_cast<vidx>(row.size());
-      heap.emplace(degree[static_cast<std::size_t>(u)], u);
-    }
-  }
-  return order;
-}
-
-/// Approximate minimum degree on the quotient (element) graph, in the style
-/// of Amestoy-Davis-Duff but without supervariable detection: eliminated
-/// pivots become *elements* whose member lists represent their cliques
-/// implicitly, so no clique edges are ever materialized. The degree of a
-/// variable is approximated by |A_i| + sum over adjacent elements of
-/// |L_e \ {i}| (an upper bound on the true external degree).
-std::vector<vidx> amd_order(const CsrMatrix& a) {
-  const vidx n = a.rows;
-  std::vector<std::vector<vidx>> vars(static_cast<std::size_t>(n));  // A_i
-  std::vector<std::vector<vidx>> elems(static_cast<std::size_t>(n));  // E_i
-  std::vector<std::vector<vidx>> members(static_cast<std::size_t>(n));  // L_e
-  std::vector<vidx> degree(static_cast<std::size_t>(n), 0);
-  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
-  for (vidx v = 0; v < n; ++v) {
-    for (eidx k = a.offsets[static_cast<std::size_t>(v)];
-         k < a.offsets[static_cast<std::size_t>(v) + 1]; ++k) {
-      const vidx u = a.col_idx[static_cast<std::size_t>(k)];
-      if (u != v) vars[static_cast<std::size_t>(v)].push_back(u);
-    }
-    auto& row = vars[static_cast<std::size_t>(v)];
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    degree[static_cast<std::size_t>(v)] = static_cast<vidx>(row.size());
-  }
-  using Entry = std::pair<vidx, vidx>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (vidx v = 0; v < n; ++v) {
-    heap.emplace(degree[static_cast<std::size_t>(v)], v);
-  }
-  auto compact_element = [&](vidx e) {
-    auto& l = members[static_cast<std::size_t>(e)];
-    l.erase(std::remove_if(l.begin(), l.end(),
-                           [&](vidx w) {
-                             return eliminated[static_cast<std::size_t>(w)];
-                           }),
-            l.end());
-  };
-  std::vector<char> mark(static_cast<std::size_t>(n), 0);
-  std::vector<vidx> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (order.size() < static_cast<std::size_t>(n)) {
-    const auto [d, p] = heap.top();
-    heap.pop();
-    if (eliminated[static_cast<std::size_t>(p)] ||
-        d != degree[static_cast<std::size_t>(p)]) {
-      continue;  // stale
-    }
-    eliminated[static_cast<std::size_t>(p)] = 1;
-    order.push_back(p);
-    // L_p = A_p union of member lists of adjacent elements, minus dead.
-    std::vector<vidx>& lp = members[static_cast<std::size_t>(p)];
-    lp.clear();
-    for (vidx u : vars[static_cast<std::size_t>(p)]) {
-      if (!eliminated[static_cast<std::size_t>(u)] &&
-          !mark[static_cast<std::size_t>(u)]) {
-        mark[static_cast<std::size_t>(u)] = 1;
-        lp.push_back(u);
-      }
-    }
-    for (vidx e : elems[static_cast<std::size_t>(p)]) {
-      for (vidx u : members[static_cast<std::size_t>(e)]) {
-        if (!eliminated[static_cast<std::size_t>(u)] &&
-            !mark[static_cast<std::size_t>(u)]) {
-          mark[static_cast<std::size_t>(u)] = 1;
-          lp.push_back(u);
-        }
-      }
-      members[static_cast<std::size_t>(e)].clear();  // absorbed by p
-      members[static_cast<std::size_t>(e)].shrink_to_fit();
-    }
-    std::sort(lp.begin(), lp.end());
-    elems[static_cast<std::size_t>(p)].clear();
-    // Update every variable in L_p.
-    for (vidx i : lp) {
-      // A_i loses the members now represented through element p (and p).
-      auto& ai = vars[static_cast<std::size_t>(i)];
-      ai.erase(std::remove_if(ai.begin(), ai.end(),
-                              [&](vidx w) {
-                                return w == p ||
-                                       eliminated[static_cast<std::size_t>(w)] ||
-                                       std::binary_search(lp.begin(), lp.end(),
-                                                          w);
-                              }),
-               ai.end());
-      // E_i drops absorbed elements, gains p.
-      auto& ei = elems[static_cast<std::size_t>(i)];
-      ei.erase(std::remove_if(ei.begin(), ei.end(),
-                              [&](vidx e) {
-                                return members[static_cast<std::size_t>(e)]
-                                    .empty();
-                              }),
-               ei.end());
-      ei.push_back(p);
-      // Approximate degree.
-      vidx deg = static_cast<vidx>(ai.size());
-      for (vidx e : ei) {
-        compact_element(e);
-        const auto& l = members[static_cast<std::size_t>(e)];
-        deg += static_cast<vidx>(l.size());
-        if (std::binary_search(l.begin(), l.end(), i)) --deg;
-      }
-      degree[static_cast<std::size_t>(i)] = deg;
-      heap.emplace(deg, i);
-    }
-    for (vidx i : lp) mark[static_cast<std::size_t>(i)] = 0;
-  }
-  return order;
-}
-
-}  // namespace
-
-std::vector<vidx> compute_ordering(const CsrMatrix& a, Ordering kind) {
-  HICOND_CHECK(a.rows == a.cols, "ordering of non-square matrix");
-  switch (kind) {
-    case Ordering::natural: {
-      std::vector<vidx> id(static_cast<std::size_t>(a.rows));
-      std::iota(id.begin(), id.end(), 0);
-      return id;
-    }
-    case Ordering::rcm:
-      return rcm(a);
-    case Ordering::min_degree:
-      return min_degree(a);
-    case Ordering::amd:
-      return amd_order(a);
-  }
-  return {};
-}
-
-SparseLDL SparseLDL::factor(const CsrMatrix& a, Ordering ordering) {
+SparseLDL SparseLDL::factor(const CsrMatrix& a) {
   HICOND_CHECK(a.rows == a.cols, "factorization of non-square matrix");
   const vidx n = a.rows;
   SparseLDL f;
   f.n_ = n;
-  f.perm_ = compute_ordering(a, ordering);
+  f.perm_ = compute_ordering(a);
   f.perm_inv_.assign(static_cast<std::size_t>(n), 0);
   for (vidx i = 0; i < n; ++i) {
     f.perm_inv_[static_cast<std::size_t>(f.perm_[static_cast<std::size_t>(i)])] =
@@ -436,7 +240,7 @@ CsrMatrix grounded_laplacian(const Graph& g, vidx ground) {
 
 }  // namespace
 
-LaplacianDirectSolver::LaplacianDirectSolver(const Graph& g, Ordering ordering)
+LaplacianDirectSolver::LaplacianDirectSolver(const Graph& g)
     : n_(g.num_vertices()) {
   HICOND_CHECK(n_ >= 1, "empty graph");
   HICOND_SPAN("cholesky.factor");
@@ -446,10 +250,7 @@ LaplacianDirectSolver::LaplacianDirectSolver(const Graph& g, Ordering ordering)
   for (vidx v = 1; v < n_; ++v) {
     if (g.vol(v) > g.vol(grounded_)) grounded_ = v;
   }
-  // The greedy min-degree implementation has a quadratic vertex-selection
-  // loop; beyond a few thousand vertices RCM is the better trade.
-  if (ordering == Ordering::min_degree && n_ > 4000) ordering = Ordering::rcm;
-  ldl_ = SparseLDL::factor(grounded_laplacian(g, grounded_), ordering);
+  ldl_ = SparseLDL::factor(grounded_laplacian(g, grounded_));
 }
 
 std::vector<double> LaplacianDirectSolver::solve(

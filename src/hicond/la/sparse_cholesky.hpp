@@ -1,5 +1,5 @@
-// Sparse LDL' factorization with fill-reducing orderings, and a grounded
-// pseudo-solver for singular graph Laplacians.
+// Sparse LDL' factorization under a reverse Cuthill-McKee ordering, and a
+// grounded pseudo-solver for singular graph Laplacians.
 //
 // This is the "exact" workhorse behind quotient solves (two-level Steiner
 // preconditioning), coarsest-level solves in the multilevel hierarchy, and
@@ -15,24 +15,16 @@
 
 namespace hicond {
 
-enum class Ordering {
-  natural,     ///< identity permutation
-  rcm,         ///< reverse Cuthill-McKee (bandwidth reducing)
-  min_degree,  ///< exact greedy minimum degree (explicit elimination graph)
-  amd,         ///< approximate minimum degree on the quotient graph
-};
-
-/// Fill-reducing permutation of a symmetric sparsity pattern.
-[[nodiscard]] std::vector<vidx> compute_ordering(const CsrMatrix& a,
-                                                 Ordering kind);
+/// Reverse Cuthill-McKee permutation (new -> old) of a symmetric sparsity
+/// pattern: BFS from a pseudo-peripheral vertex, reversed.
+[[nodiscard]] std::vector<vidx> compute_ordering(const CsrMatrix& a);
 
 /// LDL' factorization of a symmetric positive definite CSR matrix.
 class SparseLDL {
  public:
-  /// Factor P A P' where P is the permutation given by `ordering`.
+  /// Factor P A P' where P is the compute_ordering(a) permutation.
   /// Throws numeric_error if a pivot is non-positive.
-  [[nodiscard]] static SparseLDL factor(const CsrMatrix& a,
-                                        Ordering ordering = Ordering::rcm);
+  [[nodiscard]] static SparseLDL factor(const CsrMatrix& a);
 
   /// Solve A x = b.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
@@ -58,15 +50,12 @@ class SparseLDL {
 /// vertex, factors the reduced SPD system once, and solves in the
 /// mean-free sense (returned solutions satisfy sum x = 0).
 ///
-/// Ordering default: RCM. Measured on this library's quotient graphs
-/// (bench/micro_kernels BM_QuotientFactorization), RCM's cheap ordering
-/// beats the 1.3-2x fill reduction of (approximate) minimum degree in total
-/// factor+solve time at the sizes the multilevel hierarchy produces; switch
-/// to Ordering::amd / min_degree for fill-critical one-off factorizations.
+/// The ordering is RCM: on this library's quotient graphs its cheap ordering
+/// beat the 1.3-2x fill reduction of (approximate) minimum degree in total
+/// factor+solve time at the sizes the multilevel hierarchy produces.
 class LaplacianDirectSolver {
  public:
-  explicit LaplacianDirectSolver(const Graph& g,
-                                 Ordering ordering = Ordering::rcm);
+  explicit LaplacianDirectSolver(const Graph& g);
 
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 

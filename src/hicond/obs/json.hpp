@@ -1,10 +1,10 @@
 // Minimal JSON support for the observability subsystem.
 //
 // All obs exporters (Chrome trace events, metrics registry, solver reports,
-// hicond_bench results) emit JSON through the one JsonWriter here, so
+// the paper_claims ledger) emit JSON through the one JsonWriter here, so
 // escaping and number formatting live in a single place; the companion
-// recursive-descent parser is what `hicond_bench --compare` uses to read
-// baselines back, and what the tests use to assert well-formedness of every
+// recursive-descent parser reads serve requests and the shard router's
+// worker responses, and the tests use it to assert well-formedness of every
 // exporter. Deliberately not a general-purpose JSON library: no streaming,
 // documents are kept in memory, object keys preserve insertion order.
 #pragma once

@@ -3,7 +3,7 @@
 //
 // Instrumentation sites at phase boundaries (a hierarchy build, a CG solve,
 // a preconditioner construction) record into the process-wide registry;
-// consumers (hicond_tool --report, hicond_bench, tests) snapshot it as JSON.
+// consumers (today, the tests) snapshot it as JSON.
 // Every operation takes the registry mutex, so recording is safe from any
 // thread but is NOT meant for per-iteration hot loops -- time those with
 // scoped spans (obs/trace.hpp) or util/timer instead.

@@ -6,7 +6,7 @@
 // factor rho, the closure-conductance phi distribution of the level's
 // decomposition), per-level V-cycle timings, the coarsest-level direct
 // solve, and the PCG residual trace. LaplacianSolver::report() assembles
-// one; hicond_tool --report and hicond_bench print/serialize them.
+// one; hicond_tool --report prints and serializes it.
 #pragma once
 
 #include <string>

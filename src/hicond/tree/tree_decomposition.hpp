@@ -12,7 +12,7 @@
 // choice by the *exact* closure conductance it creates -- bridges are O(1)
 // sized, so this costs O(1) per bridge and is immune to case-analysis
 // ambiguity. The guarantees are validated empirically and exactly by the
-// test suite and by bench/tab_tree_decomposition.
+// test suite and by the TAB-T21 rows of bench/paper_claims.
 #pragma once
 
 #include "hicond/graph/graph.hpp"

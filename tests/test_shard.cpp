@@ -303,8 +303,8 @@ TEST(shard_unique_fd, OwnsMovesAndReleases) {
   // Destruction closed it.
   EXPECT_EQ(::fcntl(raw, F_GETFD), -1);
 
-  // release() hands the descriptor back without closing (the fdopen
-  // handoff in bench/hicond_bench.cpp depends on this).
+  // release() hands the descriptor back without closing, so a caller can
+  // pass ownership on (e.g. to fdopen).
   unique_fd keeper(fds[1]);
   const int released = keeper.release();
   EXPECT_EQ(released, fds[1]);
