@@ -1,19 +1,17 @@
 // hicond_router -- sharded frontend over a pool of hicond_serve workers.
 //
 //   hicond_router [--socket PATH] [--workers N] [--worker-bin PATH]
-//                 [--socket-dir DIR] [--cache-bytes N] [--queue N]
-//                 [--deadline-ms MS] [--window N] [--vnodes N]
-//                 [--replicate-top-k K] [--hot-threshold N]
-//                 [--hot-interval N] [--preload GRAPH...]
+//                 [--socket-dir DIR] [--cache-bytes N] [--deadline-ms MS]
+//                 [--window N] [--vnodes N] [--preload GRAPH...]
 //
 // Speaks the worker NDJSON protocol (docs/SERVING.md) plus the router-only
 // `topology` op: stdin/stdout by default, or a unix domain socket with
 // --socket. Each graph fingerprint is consistent-hashed onto one of the
 // spawned workers; `--worker-bin` defaults to the hicond_serve binary next
 // to this executable, and `--socket-dir` to a fresh temporary directory for
-// the worker-<i>.sock files. --cache-bytes/--queue/--deadline-ms configure
-// each *worker*; --window, --replicate-top-k, --hot-threshold and
-// --hot-interval are router policy (docs/SERVING.md, "Sharded serving").
+// the worker-<i>.sock files. --cache-bytes and --deadline-ms configure each
+// *worker*; --window (in-flight requests per worker) and --vnodes are
+// router policy (docs/SERVING.md, "Sharded serving").
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,9 +30,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: hicond_router [--socket PATH] [--workers N] [--worker-bin "
-      "PATH] [--socket-dir DIR] [--cache-bytes N] [--queue N] "
-      "[--deadline-ms MS] [--window N] [--vnodes N] [--replicate-top-k K] "
-      "[--hot-threshold N] [--hot-interval N] [--preload GRAPH...]\n");
+      "PATH] [--socket-dir DIR] [--cache-bytes N] [--deadline-ms MS] "
+      "[--window N] [--vnodes N] [--preload GRAPH...]\n");
   return 2;
 }
 
@@ -63,9 +60,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0 && i + 1 < argc) {
       options.worker.cache_bytes =
           static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--queue") == 0 && i + 1 < argc) {
-      options.worker.queue_capacity =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       options.default_deadline_ms = std::strtod(argv[++i], nullptr);
       options.worker.deadline_ms = options.default_deadline_ms;
@@ -73,13 +67,6 @@ int main(int argc, char** argv) {
       options.inflight_window = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--vnodes") == 0 && i + 1 < argc) {
       options.vnodes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--replicate-top-k") == 0 &&
-               i + 1 < argc) {
-      options.replicate_top_k = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--hot-threshold") == 0 && i + 1 < argc) {
-      options.hot_threshold = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--hot-interval") == 0 && i + 1 < argc) {
-      options.hot_recompute_interval = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--preload") == 0 && i + 1 < argc) {
       preload.emplace_back(argv[++i]);
     } else {

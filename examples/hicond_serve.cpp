@@ -1,15 +1,16 @@
 // hicond_serve -- NDJSON solver service frontend.
 //
-//   hicond_serve [--socket PATH] [--cache-bytes N] [--queue N]
-//                [--deadline-ms MS] [--preload GRAPH...]
+//   hicond_serve [--socket PATH] [--cache-bytes N] [--deadline-ms MS]
+//                [--preload GRAPH...]
 //
 // Without --socket, requests are read from stdin and responses written to
 // stdout, one JSON object per line; with --socket, the same protocol is
 // served over a unix domain socket at PATH (one connection at a time). Each
 // --preload file is loaded before serving starts and its fingerprint is
 // printed on stderr, so scripted sessions can address graphs without a load
-// round-trip. The protocol and the cache/backpressure semantics are
-// documented in docs/SERVING.md.
+// round-trip. The server handles one request at a time and holds no queue;
+// the protocol and the cache and deadline semantics are documented in
+// docs/SERVING.md.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +30,7 @@ using namespace hicond;
 int usage() {
   std::fprintf(stderr,
                "usage: hicond_serve [--socket PATH] [--cache-bytes N] "
-               "[--queue N] [--deadline-ms MS] [--preload GRAPH...]\n");
+               "[--deadline-ms MS] [--preload GRAPH...]\n");
   return 2;
 }
 
@@ -44,9 +45,6 @@ int main(int argc, char** argv) {
       socket_path = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0 && i + 1 < argc) {
       options.cache_bytes =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--queue") == 0 && i + 1 < argc) {
-      options.queue_capacity =
           static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       options.default_deadline_ms = std::strtod(argv[++i], nullptr);
@@ -65,14 +63,8 @@ int main(int argc, char** argv) {
       w.kv("op", "load");
       w.kv("path", path);
       w.end_object();
-      if (auto immediate = core.submit(w.str())) {
-        std::fprintf(stderr, "preload failed: %s\n", immediate->c_str());
-        return 1;
-      }
-      if (auto response = core.step()) {
-        std::fprintf(stderr, "preloaded %s: %s\n", path.c_str(),
-                     response->c_str());
-      }
+      std::fprintf(stderr, "preloaded %s: %s\n", path.c_str(),
+                   core.handle(w.str()).c_str());
     }
     if (!socket_path.empty()) {
       return serve::serve_unix_socket(core, socket_path);

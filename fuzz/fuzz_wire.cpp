@@ -10,10 +10,11 @@
 //   2. A socketpair round-trip through drain_nonblocking/read_into delivers
 //      every byte exactly once, and closing the write side surfaces as a
 //      clean ReadStatus::eof, never an error or a hang.
-//   3. Each framed line fed through router-style request parsing
-//      (obs::parse_json + id/op/deadline_ms probing, the parse stage of
-//      Router::handle_client_line) either parses or throws
-//      invalid_argument_error -- never crashes.
+//   3. Each framed line fed through serve::parse_envelope (the parse stage
+//      both the server and the router run) either parses or comes back as
+//      a parse_error response that is itself well-formed JSON -- never a
+//      crash, an escaping exception, or undefined behaviour on a hostile
+//      "id".
 //
 // The harness itself goes through wire:: and unique_fd for all I/O; it is
 // subject to the same syscall-discipline and fd-ownership checks as the
@@ -29,8 +30,8 @@
 #include <vector>
 
 #include "hicond/obs/json.hpp"
+#include "hicond/serve/request.hpp"
 #include "hicond/serve/wire.hpp"
-#include "hicond/util/common.hpp"
 #include "hicond/util/unique_fd.hpp"
 
 namespace {
@@ -58,29 +59,14 @@ std::size_t unterminated_tail(std::string_view bytes) {
                                         : bytes.size() - last - 1;
 }
 
-/// The parse stage of Router::handle_client_line: parse the line, probe the
-/// id / op / deadline_ms fields. Hostile lines must be rejected by the
-/// documented exception, never by a crash.
-void parse_like_the_router(const std::string& line) {
-  try {
-    const hicond::obs::JsonValue request = hicond::obs::parse_json(line);
-    if (!request.is_object()) {
-      return;
+/// The parse stage of every request engine. A refused line must come back
+/// as a well-formed JSON object.
+void check_envelope(const std::string& line) {
+  hicond::serve::Envelope envelope;
+  if (const auto refused = hicond::serve::parse_envelope(line, 0.0, envelope)) {
+    if (!hicond::obs::parse_json(*refused).is_object()) {
+      __builtin_trap();
     }
-    if (const auto* idv = request.find("id");
-        idv != nullptr && idv->is_number()) {
-      (void)static_cast<std::int64_t>(idv->number);
-    }
-    if (const auto* opv = request.find("op");
-        opv != nullptr && opv->is_string()) {
-      (void)opv->string.size();
-    }
-    if (const auto* dl = request.find("deadline_ms");
-        dl != nullptr && dl->is_number()) {
-      (void)dl->number;
-    }
-  } catch (const hicond::invalid_argument_error&) {
-    // the documented rejection path
   }
 }
 
@@ -113,7 +99,7 @@ void check_chunked_framing(std::string_view bytes) {
     __builtin_trap();
   }
   for (const std::string& framed : got) {
-    parse_like_the_router(framed);
+    check_envelope(framed);
   }
 }
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
 
 #include "hicond/obs/json.hpp"
+#include "hicond/serve/request.hpp"
 
 namespace hicond::dynamic {
 
@@ -181,14 +183,12 @@ std::vector<EdgeUpdate> parse_updates(const obs::JsonValue& array,
     } else {
       HICOND_CHECK(false, "unknown update kind '" + kind.string + "'");
     }
-    const obs::JsonValue& u = item.at("u");
-    const obs::JsonValue& v = item.at("v");
-    HICOND_CHECK(u.is_number() && v.is_number(),
-                 "update endpoints must be numbers");
-    // Endpoints arrive as doubles off the wire; range and integrality are
-    // re-checked against the actual graph inside apply_updates.
-    up.u = static_cast<vidx>(u.number);
-    up.v = static_cast<vidx>(v.number);
+    // Endpoints arrive as doubles off the wire; integer_field admits only
+    // integers a vidx can hold, and apply_updates checks them against the
+    // actual graph.
+    constexpr std::int64_t kMaxVertex = std::numeric_limits<vidx>::max();
+    up.u = static_cast<vidx>(serve::integer_field(item, "u", 0, kMaxVertex));
+    up.v = static_cast<vidx>(serve::integer_field(item, "v", 0, kMaxVertex));
     if (up.kind != UpdateKind::remove) {
       const obs::JsonValue& w = item.at("weight");
       HICOND_CHECK(w.is_number(), "update weight must be a number");

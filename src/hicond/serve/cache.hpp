@@ -96,8 +96,8 @@ class HierarchyCache {
 
   /// Per-entry usage record: how often each resident hierarchy was served
   /// from cache and when it was last touched (a logical access tick, not
-  /// wall time, so records are deterministic). This is what a router's
-  /// hot-set tracker consumes to decide which fingerprints to replicate.
+  /// wall time, so records are deterministic): which graphs are earning
+  /// their residency.
   struct EntryStats {
     std::uint64_t fingerprint = 0;  ///< graph content hash of the entry
     std::string options_key;        ///< canonical solver-options rendering

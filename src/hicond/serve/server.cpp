@@ -1,13 +1,8 @@
 #include "hicond/serve/server.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <exception>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -24,25 +19,10 @@
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/serve/wire.hpp"
 #include "hicond/util/rng.hpp"
-#include "hicond/util/unique_fd.hpp"
 
 namespace hicond::serve {
 
 namespace {
-
-std::string error_response(std::int64_t id, std::string_view code,
-                           std::string_view message) {
-  obs::JsonWriter w;
-  w.begin_object();
-  if (id >= 0) {
-    w.kv("id", id);
-  }
-  w.kv("ok", false);
-  w.kv("error", code);
-  w.kv("message", message);
-  w.end_object();
-  return w.str();
-}
 
 double number_or(const obs::JsonValue& object, std::string_view name,
                  double fallback) {
@@ -100,85 +80,72 @@ void write_solve_summary(obs::JsonWriter& w, const SolveStats& stats) {
 }  // namespace
 
 ServerCore::ServerCore(const ServerOptions& options)
-    : options_(options), cache_(options.cache_bytes) {
-  HICOND_CHECK(options.queue_capacity >= 1,
-               "server queue capacity must be at least 1");
-}
+    : options_(options), cache_(options.cache_bytes) {}
 
 std::optional<std::string> ServerCore::submit(const std::string& line) {
+  HICOND_CHECK(!pending_.has_value(),
+               "submit() needs the pending request stepped first");
   ++requests_;
   obs::MetricsRegistry::global().counter_add("serve.server.requests");
-  std::int64_t id = -1;
-  double deadline_ms =
-      options_.default_deadline_ms > 0.0 ? options_.default_deadline_ms : -1.0;
-  try {
-    const obs::JsonValue request = obs::parse_json(line);
-    HICOND_CHECK(request.is_object(), "request must be a JSON object");
-    if (const obs::JsonValue* idv = request.find("id");
-        idv != nullptr && idv->is_number()) {
-      id = static_cast<std::int64_t>(idv->number);
-    }
-    const obs::JsonValue* op = request.find("op");
-    HICOND_CHECK(op != nullptr && op->is_string(),
-                 "request needs a string \"op\" field");
-    if (op->string != "load" && op->string != "solve" &&
-        op->string != "batch_solve" && op->string != "update" &&
-        op->string != "stats" && op->string != "shutdown") {
-      return error_response(id, "unknown_op",
-                            "unsupported op: " + op->string);
-    }
-    if (const obs::JsonValue* dl = request.find("deadline_ms");
-        dl != nullptr) {
-      HICOND_CHECK(dl->is_number(), "deadline_ms must be a number");
-      deadline_ms = dl->number;
-    }
-  } catch (const std::exception& e) {
-    return error_response(id, "parse_error", e.what());
+  Pending pending;
+  if (auto refused =
+          parse_envelope(line, options_.default_deadline_ms, pending.envelope)) {
+    return refused;
   }
-  if (queue_.size() >= options_.queue_capacity) {
-    ++shed_;
-    obs::MetricsRegistry::global().counter_add("serve.server.shed");
-    return error_response(id, "queue_full",
-                          "request queue is at capacity; retry later");
+  const std::string& op = pending.envelope.op;
+  if (op != "load" && op != "solve" && op != "batch_solve" &&
+      op != "update" && op != "stats" && op != "shutdown") {
+    return error_response(pending.envelope.id, "unknown_op",
+                          "unsupported op: " + op);
   }
-  queue_.push_back(Pending{line, Timer{}, deadline_ms, id});
+  pending.since_submit.reset();
+  pending_ = std::move(pending);
   return std::nullopt;
 }
 
 std::optional<std::string> ServerCore::step() {
-  if (queue_.empty()) {
+  if (!pending_.has_value()) {
     return std::nullopt;
   }
-  Pending pending = std::move(queue_.front());
-  queue_.pop_front();
+  const Pending pending = std::move(*pending_);
+  pending_.reset();
   const Timer request_timer;
   std::string response;
   try {
     response = process(pending);
   } catch (const std::exception& e) {
-    response = error_response(pending.id, "bad_request", e.what());
+    response = error_response(pending.envelope.id, "bad_request", e.what());
   }
   obs::MetricsRegistry::global().histogram_record(
       "serve.server.request_seconds", request_timer.seconds());
   return response;
 }
 
+std::string ServerCore::handle(const std::string& line) {
+  if (auto refused = submit(line)) {
+    return *std::move(refused);
+  }
+  return *step();
+}
+
 std::string ServerCore::process(const Pending& pending) {
+  const std::int64_t id = pending.envelope.id;
   const auto expired = [&pending]() {
-    return pending.deadline_ms >= 0.0 &&
-           pending.since_submit.seconds() * 1000.0 > pending.deadline_ms;
+    return pending.envelope.deadline_ms >= 0.0 &&
+           pending.since_submit.seconds() * 1000.0 >
+               pending.envelope.deadline_ms;
   };
   if (expired()) {
-    return error_response(pending.id, "deadline_exceeded",
+    return error_response(id, "deadline_exceeded",
                           "deadline expired before processing began");
   }
-  const obs::JsonValue request = obs::parse_json(pending.raw);
-  const std::string& op = request.at("op").string;
+  const obs::JsonValue& request = pending.envelope.request;
+  const std::string& op = pending.envelope.op;
 
   obs::JsonWriter w;
   w.begin_object();
-  if (pending.id >= 0) {
-    w.kv("id", pending.id);
+  if (id >= 0) {
+    w.kv("id", id);
   }
 
   if (op == "load") {
@@ -211,8 +178,8 @@ std::string ServerCore::process(const Pending& pending) {
     w.kv("bytes", cs.bytes);
     w.kv("budget_bytes", cs.budget_bytes);
     w.kv("ticks", cs.ticks);
-    // Per-entry usage, most recently used first: the hot-set signal a
-    // router consumes to decide which fingerprints to replicate.
+    // Per-entry usage, most recently used first: which graphs are earning
+    // their residency.
     w.key("per_entry");
     w.begin_array();
     for (const HierarchyCache::EntryStats& e : cs.per_entry) {
@@ -226,9 +193,7 @@ std::string ServerCore::process(const Pending& pending) {
     w.end_array();
     w.end_object();
     w.kv("graphs_loaded", graphs_.size());
-    w.kv("queue_depth", queue_.size());
     w.kv("requests", requests_);
-    w.kv("shed", shed_);
     w.end_object();
     return w.str();
   }
@@ -250,7 +215,7 @@ std::string ServerCore::process(const Pending& pending) {
   const std::uint64_t fp = parse_fingerprint(graph_field.string);
   const auto git = graphs_.find(fp);
   if (git == graphs_.end()) {
-    return error_response(pending.id, "not_found",
+    return error_response(id, "not_found",
                           "graph " + graph_field.string +
                               " has not been loaded");
   }
@@ -260,16 +225,16 @@ std::string ServerCore::process(const Pending& pending) {
   LaplacianSolverOptions solver_options = options_.solver;
   solver_options.rel_tolerance =
       number_or(request, "rel_tolerance", solver_options.rel_tolerance);
-  solver_options.max_iterations = static_cast<int>(number_or(
-      request, "max_iterations",
-      static_cast<double>(solver_options.max_iterations)));
+  constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+  solver_options.max_iterations = static_cast<int>(integer_field(
+      request, "max_iterations", 0, kMaxInt, solver_options.max_iterations));
   // Per-request contraction backend: the name becomes part of the canonical
   // options, so solves against different backends get distinct cache
   // entries. An unregistered name is rejected before any build starts.
   if (const obs::JsonValue* bk = request.find("backend"); bk != nullptr) {
     HICOND_CHECK(bk->is_string(), "backend must be a string");
     if (partition::find_backend(bk->string) == nullptr) {
-      return error_response(pending.id, "unknown_backend",
+      return error_response(id, "unknown_backend",
                             "no registered partitioner backend named \"" +
                                 bk->string + "\"");
     }
@@ -280,15 +245,14 @@ std::string ServerCore::process(const Pending& pending) {
     HICOND_CHECK(bo->is_object(), "backend_options must be an object");
     partition::BackendOptions& c = solver_options.hierarchy.contraction;
     c.max_cluster_size = static_cast<vidx>(
-        number_or(*bo, "max_cluster_size",
-                  static_cast<double>(c.max_cluster_size)));
-    c.seed = static_cast<std::uint64_t>(
-        number_or(*bo, "seed", static_cast<double>(c.seed)));
+        integer_field(*bo, "max_cluster_size", 0,
+                      std::numeric_limits<vidx>::max(), c.max_cluster_size));
+    c.seed = static_cast<std::uint64_t>(integer_field(
+        *bo, "seed", 0, kMaxWireInteger, static_cast<std::int64_t>(c.seed)));
     c.perturb = bool_or(*bo, "perturb", c.perturb);
     c.resolution = number_or(*bo, "resolution", c.resolution);
-    c.rounds =
-        static_cast<int>(number_or(*bo, "rounds",
-                                   static_cast<double>(c.rounds)));
+    c.rounds = static_cast<int>(
+        integer_field(*bo, "rounds", 0, kMaxInt, c.rounds));
     c.beta = number_or(*bo, "beta", c.beta);
   }
 
@@ -326,7 +290,7 @@ std::string ServerCore::process(const Pending& pending) {
       // Reject before registering anything: a disconnected graph cannot be
       // served (LaplacianSolver requires connectivity), so the update must
       // not land partially.
-      return error_response(pending.id, "disconnected",
+      return error_response(id, "disconnected",
                             "update would disconnect the graph; no state "
                             "was changed");
     }
@@ -341,7 +305,7 @@ std::string ServerCore::process(const Pending& pending) {
     if (expired()) {
       // The repaired/rebuilt entry stays cached for later requests, but
       // this response is shed.
-      return error_response(pending.id, "deadline_exceeded",
+      return error_response(id, "deadline_exceeded",
                             "deadline expired during update build");
     }
     w.kv("ok", true);
@@ -368,7 +332,7 @@ std::string ServerCore::process(const Pending& pending) {
   if (expired()) {
     // The hierarchy stays cached for later requests, but this one is shed
     // before any solve work happens.
-    return error_response(pending.id, "deadline_exceeded",
+    return error_response(id, "deadline_exceeded",
                           "deadline expired during solver setup");
   }
   const bool return_x = bool_or(request, "return_x", false);
@@ -378,9 +342,9 @@ std::string ServerCore::process(const Pending& pending) {
     if (const obs::JsonValue* bv = request.find("b"); bv != nullptr) {
       b = parse_vector(*bv, n);
     } else {
-      const obs::JsonValue& seed = request.at("rhs_seed");
-      HICOND_CHECK(seed.is_number(), "rhs_seed must be a number");
-      b = random_rhs(static_cast<std::uint64_t>(seed.number), n);
+      b = random_rhs(static_cast<std::uint64_t>(integer_field(
+                         request, "rhs_seed", 0, kMaxWireInteger)),
+                     n);
     }
     std::vector<double> x(n, 0.0);
     const Timer solve_timer;
@@ -419,10 +383,10 @@ std::string ServerCore::process(const Pending& pending) {
     const obs::JsonValue& spec = request.at("rhs_random");
     HICOND_CHECK(spec.is_object(),
                  "rhs_random must be an object {count, seed}");
-    const auto count = static_cast<std::int64_t>(number_or(spec, "count", 1.0));
-    const auto seed =
-        static_cast<std::uint64_t>(number_or(spec, "seed", 0.0));
-    HICOND_CHECK(count >= 1, "rhs_random.count must be at least 1");
+    const std::int64_t count =
+        integer_field(spec, "count", 1, kMaxWireInteger, 1);
+    const auto seed = static_cast<std::uint64_t>(
+        integer_field(spec, "seed", 0, kMaxWireInteger, 0));
     // A wire-supplied count is untrusted: without the upper cap a hostile
     // {"count": 2e9} forces a multi-GB allocation before any solve runs.
     constexpr std::uint64_t kMaxRandomRhs = 4096;
@@ -481,20 +445,9 @@ std::string ServerCore::process(const Pending& pending) {
 int serve_stream(ServerCore& core, std::istream& in, std::ostream& out) {
   std::string line;
   while (!core.shutting_down() && std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
+    if (!line.empty()) {
+      out << core.handle(line) << '\n' << std::flush;
     }
-    if (auto immediate = core.submit(line)) {
-      out << *immediate << '\n' << std::flush;
-      continue;
-    }
-    while (auto response = core.step()) {
-      out << *response << '\n' << std::flush;
-    }
-  }
-  // EOF or shutdown: drain anything still queued before returning.
-  while (auto response = core.step()) {
-    out << *response << '\n' << std::flush;
   }
   return 0;
 }
@@ -506,29 +459,12 @@ void serve_connection(ServerCore& core, int fd) {
   // and short reads/writes in one audited place (serve/wire.hpp).
   wire::LineBuffer buffer;
   std::string line;
-  const auto emit = [fd](const std::string& response) {
-    return wire::write_line(fd, response);
-  };
-  for (;;) {
-    if (wire::read_into(fd, buffer) != wire::ReadStatus::data) {
-      break;
-    }
+  while (wire::read_into(fd, buffer) == wire::ReadStatus::data) {
     while (buffer.next_line(line)) {
       if (line.empty()) {
         continue;
       }
-      if (auto immediate = core.submit(line)) {
-        if (!emit(*immediate)) {
-          return;
-        }
-        continue;
-      }
-      while (auto response = core.step()) {
-        if (!emit(*response)) {
-          return;
-        }
-      }
-      if (core.shutting_down()) {
+      if (!wire::write_line(fd, core.handle(line)) || core.shutting_down()) {
         return;
       }
     }
@@ -538,31 +474,10 @@ void serve_connection(ServerCore& core, int fd) {
 }  // namespace
 
 int serve_unix_socket(ServerCore& core, const std::string& path) {
-  sockaddr_un addr{};
-  HICOND_CHECK(path.size() < sizeof addr.sun_path,
-               "unix socket path is too long");
-  const unique_fd listener(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  HICOND_CHECK(static_cast<bool>(listener), "failed to create unix socket");
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());
-  HICOND_CHECK(::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr) == 0 &&
-                   ::listen(listener.get(), 8) == 0,
-               "failed to bind/listen on unix socket path");
-  while (!core.shutting_down()) {
-    const unique_fd fd(::accept(listener.get(), nullptr, nullptr));
-    if (!fd) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;
-    }
-    // unique_fd closes the connection even when serve_connection throws
-    // (a malformed request reaching a HICOND_CHECK used to leak it here).
-    serve_connection(core, fd.get());
-  }
-  ::unlink(path.c_str());
+  wire::listen_unix(path, [&core](int fd) {
+    serve_connection(core, fd);
+    return !core.shutting_down();
+  });
   return 0;
 }
 

@@ -1,15 +1,16 @@
 // Newline-delimited-JSON solver service.
 //
 // ServerCore is the transport-independent request engine: submit() parses
-// and admits one request line into a bounded queue (returning an immediate
-// shed response when the queue is full -- explicit backpressure instead of
-// unbounded buffering), step() executes the oldest admitted request, and
-// the transports (stdio loop, unix socket; examples/hicond_serve.cpp) do
-// nothing but move lines. Deadlines are checked at phase boundaries: on
-// dequeue, and again between hierarchy setup and the solve, so an expired
-// request is shed before it burns solver time. A shutdown request drains
-// everything already admitted, then stops the loop -- exit is clean, never
-// mid-request.
+// one request line's envelope (serve/request.hpp) and holds it as the one
+// pending request, step() executes it, and handle() does both. Every
+// transport (stdio loop, unix socket; examples/hicond_serve.cpp) reads a
+// line, handles it and writes the response before it reads the next, so
+// the server never holds more than one request and needs no queue; a
+// deployment's backpressure is the router's per-worker window and backlog
+// (serve/shard/router.hpp). Deadlines are checked at phase boundaries:
+// before execution starts, and again between hierarchy setup and the solve,
+// so an expired request is shed before it burns solver time. A shutdown
+// request stops the transport once it is answered.
 //
 // Protocol (one JSON object per line, documented in docs/SERVING.md):
 //   {"op":"load","path":P}                 read a snapshot/text graph file
@@ -20,15 +21,14 @@
 //       its solver by local hierarchy repair (dynamic/repair.hpp) when
 //       possible, cold build otherwise; "mode":"rebuild" forces the cold
 //       path. Response carries new_graph, repaired, clusters_touched.
-//   {"op":"stats"}                         cache + queue counters
-//   {"op":"shutdown"}                      drain and stop
+//   {"op":"stats"}                         cache + request counters
+//   {"op":"shutdown"}                      stop after answering
 // Every response is a single JSON object with "id" echoed and "ok"; errors
 // carry {"ok":false,"error":CODE,"message":...} and are themselves valid
 // JSON -- malformed input never kills the server.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -36,13 +36,13 @@
 #include <string>
 
 #include "hicond/serve/cache.hpp"
+#include "hicond/serve/request.hpp"
 #include "hicond/util/timer.hpp"
 
 namespace hicond::serve {
 
 struct ServerOptions {
   std::size_t cache_bytes = std::size_t{256} << 20;  ///< hierarchy cache
-  std::size_t queue_capacity = 64;  ///< admitted-but-unprocessed requests
   /// Applied when a request carries no "deadline_ms"; <= 0 disables.
   double default_deadline_ms = 0.0;
   /// Solver options used when a request has no "options" object.
@@ -51,7 +51,7 @@ struct ServerOptions {
 
 /// Concurrency contract: ServerCore itself is single-threaded -- submit()
 /// and step() must be called from one thread (the transport loop), which is
-/// why queue_/graphs_/counters carry no lock. The one component shared with
+/// why pending_/graphs_/counters carry no lock. The one component shared with
 /// other threads, the hierarchy cache, synchronizes internally behind
 /// annotated locks (serve/cache.hpp, util/thread_annotations.hpp); clang
 /// builds verify that discipline with -Werror=thread-safety.
@@ -59,47 +59,45 @@ class ServerCore {
  public:
   explicit ServerCore(const ServerOptions& options = {});
 
-  /// Parse and admit one request line. Returns an immediate response only
-  /// when the request cannot be queued (parse error, unknown op, queue
-  /// full); otherwise the response comes from the matching step() call.
+  /// Parse one request line and hold it as the pending request. Returns an
+  /// immediate response only when the line is refused (parse error, unknown
+  /// op); otherwise the response comes from the next step() call. Throws
+  /// invalid_argument_error when a request is already pending.
   [[nodiscard]] std::optional<std::string> submit(const std::string& line);
 
-  /// Execute the oldest queued request; nullopt when the queue is empty.
+  /// Execute the pending request; nullopt when none is pending.
   [[nodiscard]] std::optional<std::string> step();
 
+  /// submit() then step(): the one response to `line`.
+  [[nodiscard]] std::string handle(const std::string& line);
+
   /// True once a shutdown request has been executed (the transport should
-  /// stop reading; queued work admitted before shutdown has been drained).
+  /// stop reading).
   [[nodiscard]] bool shutting_down() const noexcept { return shutdown_; }
 
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return queue_.size();
-  }
   [[nodiscard]] const HierarchyCache& cache() const noexcept {
     return cache_;
   }
 
  private:
   struct Pending {
-    std::string raw;
-    Timer since_submit;       ///< deadline clock starts at admission
-    double deadline_ms = 0.0; ///< <= 0: none
-    std::int64_t id = -1;     ///< echoed back; -1 when absent
+    Envelope envelope;
+    Timer since_submit;  ///< deadline clock starts at admission
   };
 
   std::string process(const Pending& request);
 
   ServerOptions options_;
   HierarchyCache cache_;
-  std::deque<Pending> queue_;
+  std::optional<Pending> pending_;
   std::map<std::uint64_t, std::shared_ptr<const Graph>> graphs_;
   bool shutdown_ = false;
   std::int64_t requests_ = 0;
-  std::int64_t shed_ = 0;
 };
 
 /// Blocking NDJSON loop over an istream/ostream pair (the stdio transport):
-/// reads lines, submits, drains responses eagerly, returns on EOF or after
-/// a shutdown request completed. Returns 0 on clean exit.
+/// handles one line at a time, returns on EOF or after a shutdown request
+/// completed. Returns 0 on clean exit.
 int serve_stream(ServerCore& core, std::istream& in, std::ostream& out);
 
 /// Same protocol over a unix domain socket: binds `path`, accepts one

@@ -30,7 +30,7 @@ std::uint64_t hash_bytes(const std::string& s) {
 }  // namespace
 
 HashRing::HashRing(int workers, int vnodes_per_worker)
-    : workers_(workers), vnodes_(vnodes_per_worker) {
+    : vnodes_(vnodes_per_worker) {
   HICOND_CHECK(workers >= 1, "hash ring needs at least one worker");
   HICOND_CHECK(vnodes_per_worker >= 1,
                "hash ring needs at least one vnode per worker");
@@ -51,7 +51,7 @@ HashRing::HashRing(int workers, int vnodes_per_worker)
   });
 }
 
-std::size_t HashRing::locate(std::uint64_t fingerprint) const {
+int HashRing::primary(std::uint64_t fingerprint) const {
   // Re-mix the fingerprint so ring position is decorrelated from the raw
   // content hash (which callers compare and log; placement should not be
   // readable off its low bits).
@@ -60,27 +60,7 @@ std::size_t HashRing::locate(std::uint64_t fingerprint) const {
   const auto it = std::lower_bound(
       points_.begin(), points_.end(), h,
       [](const Point& p, std::uint64_t key) { return p.hash < key; });
-  return it == points_.end() ? 0 : static_cast<std::size_t>(
-                                       it - points_.begin());
-}
-
-int HashRing::primary(std::uint64_t fingerprint) const {
-  return points_[locate(fingerprint)].worker;
-}
-
-int HashRing::replica(std::uint64_t fingerprint) const {
-  if (workers_ < 2) {
-    return -1;
-  }
-  const std::size_t start = locate(fingerprint);
-  const int owner = points_[start].worker;
-  for (std::size_t step = 1; step < points_.size(); ++step) {
-    const Point& p = points_[(start + step) % points_.size()];
-    if (p.worker != owner) {
-      return p.worker;
-    }
-  }
-  return -1;  // unreachable with >= 2 workers, but keep the contract total
+  return (it == points_.end() ? points_.front() : *it).worker;
 }
 
 }  // namespace hicond::serve::shard

@@ -14,10 +14,6 @@
 //     fingerprint space;
 //   * stability -- adding one worker moves only ~1/N of the keyspace; the
 //     placements of keys that stay put are unchanged.
-//
-// replica() names the first *distinct* worker after the primary on the ring
-// -- the second position hot fingerprints are mirrored to, and the worker
-// that serves them while a dead primary is respawning.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +27,10 @@ class HashRing {
   /// Both must be at least 1.
   explicit HashRing(int workers, int vnodes_per_worker = 64);
 
-  [[nodiscard]] int num_workers() const noexcept { return workers_; }
   [[nodiscard]] int vnodes_per_worker() const noexcept { return vnodes_; }
 
   /// Owning worker for a fingerprint.
   [[nodiscard]] int primary(std::uint64_t fingerprint) const;
-
-  /// First worker after the primary on the ring that is a different worker
-  /// -- the replica position. -1 when the ring has a single worker.
-  [[nodiscard]] int replica(std::uint64_t fingerprint) const;
 
  private:
   struct Point {
@@ -47,11 +38,7 @@ class HashRing {
     std::int32_t worker;
   };
 
-  /// Index into points_ of the arc a fingerprint lands on.
-  [[nodiscard]] std::size_t locate(std::uint64_t fingerprint) const;
-
   std::vector<Point> points_;  ///< sorted by hash
-  int workers_;
   int vnodes_;
 };
 

@@ -2,41 +2,22 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <utility>
 
 #include "hicond/obs/metrics.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/util/common.hpp"
-#include "hicond/util/unique_fd.hpp"
 
 namespace hicond::serve::shard {
 
 namespace {
 
 constexpr int kPollMillis = 20;  ///< upkeep tick while idle
-
-std::string error_response(std::int64_t id, const char* code,
-                           const std::string& message) {
-  obs::JsonWriter w;
-  w.begin_object();
-  if (id >= 0) {
-    w.kv("id", id);
-  }
-  w.kv("ok", false);
-  w.kv("error", code);
-  w.kv("message", message);
-  w.end_object();
-  return w.str();
-}
 
 const char* state_name(WorkerPool::State s) {
   switch (s) {
@@ -80,12 +61,8 @@ std::uint64_t Router::preload(const std::string& path) {
   Pending p;
   p.raw = load_line_for(fp);
   p.fp = fp;
-  p.has_fp = true;
   p.action = Action::absorb;
-  const int w = route_worker(fp);
-  if (w >= 0) {
-    (void)dispatch(w, std::move(p));
-  }
+  dispatch(ring_.primary(fp), std::move(p));
   return fp;
 }
 
@@ -121,159 +98,73 @@ void Router::respond_error(std::int64_t id, const char* code,
 void Router::handle_client_line(const std::string& line) {
   ++stat_requests_;
   obs::MetricsRegistry::global().counter_add("serve.router.requests");
-  std::int64_t id = -1;
-  double deadline_ms =
-      options_.default_deadline_ms > 0.0 ? options_.default_deadline_ms : -1.0;
-  obs::JsonValue request;
-  std::string op;
-  try {
-    request = obs::parse_json(line);
-    HICOND_CHECK(request.is_object(), "request must be a JSON object");
-    if (const obs::JsonValue* idv = request.find("id");
-        idv != nullptr && idv->is_number()) {
-      id = static_cast<std::int64_t>(idv->number);
-    }
-    const obs::JsonValue* opv = request.find("op");
-    HICOND_CHECK(opv != nullptr && opv->is_string(),
-                 "request needs a string \"op\" field");
-    op = opv->string;
-    if (const obs::JsonValue* dl = request.find("deadline_ms");
-        dl != nullptr) {
-      HICOND_CHECK(dl->is_number(), "deadline_ms must be a number");
-      deadline_ms = dl->number;
-    }
-  } catch (const std::exception& e) {
-    respond_error(id, "parse_error", e.what());
+  Envelope env;
+  if (auto refused =
+          parse_envelope(line, options_.default_deadline_ms, env)) {
+    respond(*refused);
     return;
   }
   try {
-    if (op == "topology") {
-      handle_topology(id);
-    } else if (op == "stats") {
-      start_stats_fanout(id, deadline_ms);
-    } else if (op == "shutdown") {
-      begin_drain(id);
-    } else if (op == "load") {
-      handle_load(request, line, id, deadline_ms);
-    } else if (op == "solve" || op == "batch_solve") {
-      handle_solve(request, line, id, deadline_ms);
-    } else if (op == "update") {
-      handle_update(request, line, id, deadline_ms);
+    if (env.op == "topology") {
+      handle_topology(env.id);
+    } else if (env.op == "stats") {
+      start_stats_fanout(env.id, env.deadline_ms);
+    } else if (env.op == "shutdown") {
+      begin_drain(env.id, /*reply=*/true);
+    } else if (env.op == "load") {
+      handle_load(env, line);
+    } else if (env.op == "solve" || env.op == "batch_solve" ||
+               env.op == "update") {
+      handle_graph_op(env, line);
     } else {
-      respond_error(id, "unknown_op", "unsupported op: " + op);
+      respond_error(env.id, "unknown_op", "unsupported op: " + env.op);
     }
   } catch (const std::exception& e) {
-    respond_error(id, "bad_request", e.what());
+    respond_error(env.id, "bad_request", e.what());
   }
 }
 
-void Router::handle_load(const obs::JsonValue& request,
-                         const std::string& line, std::int64_t id,
-                         double deadline_ms) {
-  const obs::JsonValue& path = request.at("path");
+void Router::handle_load(const Envelope& env, const std::string& line) {
+  const obs::JsonValue& path = env.request.at("path");
   HICOND_CHECK(path.is_string(), "load needs a string \"path\"");
   // The router reads the graph itself: routing needs the fingerprint
   // before any worker has seen the file, and the same parse validates the
-  // input once at the outermost boundary.
-  std::uint64_t fp = 0;
-  try {
-    const Graph g = read_graph_auto(path.string);
-    fp = graph_fingerprint(g);
-  } catch (const std::exception& e) {
-    respond_error(id, "bad_request", e.what());
-    return;
-  }
+  // input once at the outermost boundary (a bad file is a bad_request).
+  const std::uint64_t fp = graph_fingerprint(read_graph_auto(path.string));
   loads_[fp] = path.string;
-  const int w = route_worker(fp);
-  if (w < 0) {
-    respond_error(id, "worker_failed",
-                  "no worker available for this fingerprint");
-    return;
-  }
   Pending p;
   p.raw = line;
-  p.client_id = id;
+  p.client_id = env.id;
   p.fp = fp;
-  p.has_fp = true;
-  p.deadline_ms = deadline_ms;
-  if (dispatch(w, std::move(p)) == DispatchResult::shed) {
-    return;  // dispatch already answered queue_full
-  }
-  // A fingerprint that is already marked hot gets its mirror refreshed too
-  // (a re-load after the file changed keeps both copies in step).
-  if (replicated_.count(fp) != 0) {
-    const int r = ring_.replica(fp);
-    if (r >= 0 && r != w && !lanes_[static_cast<std::size_t>(r)].failed) {
-      Pending mirror;
-      mirror.raw = load_line_for(fp);
-      mirror.fp = fp;
-      mirror.has_fp = true;
-      mirror.action = Action::absorb;
-      (void)dispatch(r, std::move(mirror));
-    }
-  }
+  p.deadline_ms = env.deadline_ms;
+  dispatch(ring_.primary(fp), std::move(p));
 }
 
-void Router::handle_solve(const obs::JsonValue& request,
-                          const std::string& line, std::int64_t id,
-                          double deadline_ms) {
-  const obs::JsonValue& graph_field = request.at("graph");
+void Router::handle_graph_op(const Envelope& env, const std::string& line) {
+  const obs::JsonValue& graph_field = env.request.at("graph");
   HICOND_CHECK(graph_field.is_string(),
-               "solve needs a string \"graph\" fingerprint");
+               env.op + " needs a string \"graph\" fingerprint");
   const std::uint64_t fp = parse_fingerprint(graph_field.string);
-  ++stat_routed_;
-  obs::MetricsRegistry::global().counter_add("serve.router.routed");
-  requests_by_fp_[fp] += 1;
+  const bool is_update = env.op == "update";
+  if (is_update) {
+    ++stat_updates_;
+    obs::MetricsRegistry::global().counter_add("serve.router.updates");
+  } else {
+    ++stat_routed_;
+    obs::MetricsRegistry::global().counter_add("serve.router.routed");
+  }
   // A derived fingerprint (the result of an `update`) routes through its
-  // root with failover disabled: the mutated state lives only on the
-  // worker that executed the update chain.
+  // root: the mutated state lives only on the worker that executed the
+  // update chain.
   const std::uint64_t root = resolve_root(fp);
-  const bool derived = root != fp;
-  const int w = route_worker(root, /*allow_replica=*/!derived);
-  if (w < 0) {
-    respond_error(id, "worker_failed",
-                  "no worker available for this fingerprint");
-    return;
-  }
   Pending p;
   p.raw = line;
-  p.client_id = id;
+  p.client_id = env.id;
   p.fp = root;
-  p.has_fp = true;
-  p.primary_only = derived;
-  p.deadline_ms = deadline_ms;
-  (void)dispatch(w, std::move(p));
-  maybe_recompute_hot();
-}
-
-void Router::handle_update(const obs::JsonValue& request,
-                           const std::string& line, std::int64_t id,
-                           double deadline_ms) {
-  const obs::JsonValue& graph_field = request.at("graph");
-  HICOND_CHECK(graph_field.is_string(),
-               "update needs a string \"graph\" fingerprint");
-  const std::uint64_t fp = parse_fingerprint(graph_field.string);
-  ++stat_updates_;
-  obs::MetricsRegistry::global().counter_add("serve.router.updates");
-  // Updates always run on the root's primary: executing one on the mirror
-  // would fork the derived state across two workers.
-  const std::uint64_t root = resolve_root(fp);
-  const int w = route_worker(root, /*allow_replica=*/false);
-  if (w < 0) {
-    respond_error(id, "worker_failed",
-                  "no worker available for this fingerprint");
-    return;
-  }
-  Pending p;
-  p.raw = line;
-  p.client_id = id;
-  p.fp = root;
-  p.has_fp = true;
-  p.is_update = true;
-  p.primary_only = true;
+  p.is_update = is_update;
   p.update_old = fp;
-  p.deadline_ms = deadline_ms;
-  (void)dispatch(w, std::move(p));
+  p.deadline_ms = env.deadline_ms;
+  dispatch(ring_.primary(root), std::move(p));
 }
 
 std::uint64_t Router::resolve_root(std::uint64_t fp) const {
@@ -288,45 +179,17 @@ std::uint64_t Router::resolve_root(std::uint64_t fp) const {
 // Routing, dispatch, lanes
 // ---------------------------------------------------------------------------
 
-int Router::route_worker(std::uint64_t fp, bool allow_replica) {
-  const int p = ring_.primary(fp);
-  const auto usable = [this](int w) {
-    return w >= 0 && !lanes_[static_cast<std::size_t>(w)].failed;
-  };
-  if (usable(p) && pool_.state(p) == WorkerPool::State::up) {
-    return p;
-  }
-  // Primary down, starting, or failed: a replicated fingerprint is served
-  // by its mirror instead of waiting out the respawn.
-  if (allow_replica && replicated_.count(fp) != 0) {
-    const int r = ring_.replica(fp);
-    if (usable(r) && pool_.state(r) == WorkerPool::State::up) {
-      ++stat_promotions_;
-      obs::MetricsRegistry::global().counter_add(
-          "serve.router.replica_promotions");
-      return r;
-    }
-  }
-  if (usable(p)) {
-    return p;  // queue behind the respawn
-  }
-  if (!allow_replica) {
-    return -1;  // the state this request needs exists only on the primary
-  }
-  const int r = ring_.replica(fp);
-  return usable(r) ? r : -1;
-}
-
-Router::DispatchResult Router::dispatch(int w, Pending&& p) {
+void Router::dispatch(int w, Pending&& p) {
   Lane& lane = lanes_[static_cast<std::size_t>(w)];
   if (lane.failed) {
     if (p.action == Action::relay) {
       respond_error(p.client_id, "worker_failed",
-                    "worker is permanently down");
+                    "the worker that owns this fingerprint is permanently "
+                    "down");
     } else if (p.action == Action::stats) {
       fanout_worker_unavailable(p.stats_tag, w);
     }
-    return DispatchResult::shed;
+    return;
   }
   const bool window_open =
       pool_.state(w) == WorkerPool::State::up && lane.backlog.empty() &&
@@ -336,11 +199,11 @@ Router::DispatchResult Router::dispatch(int w, Pending&& p) {
     lane.outbound += p.raw;
     lane.outbound += '\n';
     lane.inflight.push_back(std::move(p));
-    return DispatchResult::sent;
+    return;
   }
   if (lane.backlog.size() < options_.backlog_capacity) {
     lane.backlog.push_back(std::move(p));
-    return DispatchResult::queued;
+    return;
   }
   ++stat_shed_;
   obs::MetricsRegistry::global().counter_add("serve.router.shed");
@@ -350,7 +213,6 @@ Router::DispatchResult Router::dispatch(int w, Pending&& p) {
   } else if (p.action == Action::stats) {
     fanout_worker_unavailable(p.stats_tag, w);
   }
-  return DispatchResult::shed;
 }
 
 void Router::refill_window(int w) {
@@ -471,15 +333,10 @@ void Router::record_update_result(const Pending& p, const std::string& line) {
     }
     if (derived_root_.emplace(new_fp, p.fp).second) {
       // First sighting of this derived fingerprint: keep the verbatim line
-      // so the owning primary can re-execute the chain after a respawn
+      // so the owning worker can re-execute the chain after a respawn
       // (cache idempotence worker-side makes the replay land exactly once).
       update_replay_.emplace_back(p.fp, p.raw);
     }
-    // The pre-update fingerprint's hot mirror is stale relative to the
-    // tenant's working set, which just moved to the derived fingerprint;
-    // stop promoting it and make replication re-earnable from fresh counts.
-    replicated_.erase(p.update_old);
-    requests_by_fp_.erase(p.update_old);
   } catch (const std::exception&) {
     // Unparseable relay body; nothing to track.
   }
@@ -523,22 +380,7 @@ void Router::handle_worker_death(int w) {
         p.retried = true;
         ++stat_retries_;
         obs::MetricsRegistry::global().counter_add("serve.router.retries");
-        // Replicated fingerprints fail over immediately; everything else
-        // (including primary-only update traffic, whose state the mirror
-        // does not have) waits for the respawn at the front of the backlog.
-        if (p.has_fp && !p.primary_only && replicated_.count(p.fp) != 0) {
-          const int other = ring_.primary(p.fp) == w ? ring_.replica(p.fp)
-                                                     : ring_.primary(p.fp);
-          if (other >= 0 && other != w &&
-              !lanes_[static_cast<std::size_t>(other)].failed &&
-              pool_.state(other) == WorkerPool::State::up) {
-            ++stat_promotions_;
-            obs::MetricsRegistry::global().counter_add(
-                "serve.router.replica_promotions");
-            (void)dispatch(other, std::move(p));
-            break;
-          }
-        }
+        // The retry waits for the respawn at the front of the backlog.
         requeue.push_back(std::move(p));
         break;
       }
@@ -575,20 +417,16 @@ void Router::on_worker_up(int w) {
   // is ordered by fingerprint, so replay order is deterministic.
   std::deque<Pending> replay;
   for (const auto& [fp, path] : loads_) {
-    const bool owns_primary = ring_.primary(fp) == w;
-    const bool owns_replica =
-        replicated_.count(fp) != 0 && ring_.replica(fp) == w;
-    if (!owns_primary && !owns_replica) {
+    if (ring_.primary(fp) != w) {
       continue;
     }
     Pending p;
     p.raw = load_line_for(fp);
     p.fp = fp;
-    p.has_fp = true;
     p.action = Action::absorb;
     replay.push_back(std::move(p));
   }
-  // Then every successful update whose root this worker primaries, in
+  // Then every successful update whose root this worker owns, in
   // execution order: replay rebuilds the derived graphs the dead worker
   // held (the loads above restored their roots first). Worker-side cache
   // idempotence makes a replayed update land exactly once even when the
@@ -600,8 +438,6 @@ void Router::on_worker_up(int w) {
     Pending p;
     p.raw = line;
     p.fp = root;
-    p.has_fp = true;
-    p.primary_only = true;
     p.action = Action::absorb;
     replay.push_back(std::move(p));
   }
@@ -684,44 +520,6 @@ void Router::check_deadlines() {
   }
 }
 
-void Router::maybe_recompute_hot() {
-  if (++routed_since_hot_scan_ < options_.hot_recompute_interval ||
-      options_.replicate_top_k <= 0 || ring_.num_workers() < 2) {
-    return;
-  }
-  routed_since_hot_scan_ = 0;
-  std::vector<std::pair<std::int64_t, std::uint64_t>> ranked;
-  for (const auto& [fp, count] : requests_by_fp_) {
-    if (count >= options_.hot_threshold && loads_.count(fp) != 0) {
-      ranked.emplace_back(count, fp);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  if (ranked.size() > static_cast<std::size_t>(options_.replicate_top_k)) {
-    ranked.resize(static_cast<std::size_t>(options_.replicate_top_k));
-  }
-  for (const auto& [count, fp] : ranked) {
-    if (replicated_.count(fp) != 0) {
-      continue;  // replication is sticky for the session
-    }
-    const int r = ring_.replica(fp);
-    if (r < 0 || lanes_[static_cast<std::size_t>(r)].failed) {
-      continue;
-    }
-    replicated_.insert(fp);
-    ++stat_replications_;
-    obs::MetricsRegistry::global().counter_add("serve.router.replications");
-    Pending mirror;
-    mirror.raw = load_line_for(fp);
-    mirror.fp = fp;
-    mirror.has_fp = true;
-    mirror.action = Action::absorb;
-    (void)dispatch(r, std::move(mirror));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // stats fan-out / topology / shutdown
 // ---------------------------------------------------------------------------
@@ -762,7 +560,7 @@ void Router::start_stats_fanout(std::int64_t id, double deadline_ms) {
     p.action = Action::stats;
     p.stats_tag = tag;
     p.deadline_ms = deadline_ms;
-    (void)dispatch(w, std::move(p));
+    dispatch(w, std::move(p));
   }
 }
 
@@ -822,7 +620,6 @@ void Router::finish_stats(int tag) {
   w.end_object();
   w.kv("graphs_loaded", sum_field({"graphs_loaded"}));
   w.kv("requests", sum_field({"requests"}));
-  w.kv("shed", sum_field({"shed"}));
   w.end_object();
 
   w.key("router");
@@ -833,16 +630,8 @@ void Router::finish_stats(int tag) {
   w.kv("derived_graphs", static_cast<std::int64_t>(derived_root_.size()));
   w.kv("retries", stat_retries_);
   w.kv("restarts", stat_restarts_);
-  w.kv("replica_promotions", stat_promotions_);
-  w.kv("replications", stat_replications_);
   w.kv("shed", stat_shed_);
   w.kv("workers_up", workers_up);
-  w.key("hot");
-  w.begin_array();
-  for (const std::uint64_t fp : replicated_) {
-    w.value(fingerprint_hex(fp));
-  }
-  w.end_array();
   w.end_object();
 
   w.key("per_worker");
@@ -885,8 +674,6 @@ void Router::handle_topology(std::int64_t id) {
   w.key("ring");
   w.begin_object();
   w.kv("vnodes_per_worker", ring_.vnodes_per_worker());
-  w.kv("replicate_top_k", options_.replicate_top_k);
-  w.kv("hot_threshold", options_.hot_threshold);
   w.end_object();
   w.key("workers");
   w.begin_array();
@@ -910,11 +697,6 @@ void Router::handle_topology(std::int64_t id) {
     w.kv("fingerprint", fingerprint_hex(fp));
     w.kv("path", path);
     w.kv("primary", ring_.primary(fp));
-    w.kv("replica", ring_.replica(fp));
-    w.kv("replicated", replicated_.count(fp) != 0);
-    const auto rit = requests_by_fp_.find(fp);
-    w.kv("requests", rit == requests_by_fp_.end() ? std::int64_t{0}
-                                                  : rit->second);
     w.end_object();
   }
   w.end_array();
@@ -932,12 +714,12 @@ void Router::handle_topology(std::int64_t id) {
   respond(w.str());
 }
 
-void Router::begin_drain(std::int64_t id) {
+void Router::begin_drain(std::int64_t id, bool reply) {
   if (draining_) {
     return;
   }
   draining_ = true;
-  shutdown_requested_ = id != -2;
+  shutdown_reply_ = reply;
   shutdown_id_ = id;
   drain_timer_.reset();
 }
@@ -964,7 +746,7 @@ void Router::maybe_finish_drain() {
         Pending p;
         p.raw = "{\"op\":\"shutdown\"}";
         p.action = Action::absorb;
-        (void)dispatch(i, std::move(p));
+        dispatch(i, std::move(p));
       }
     }
     worker_shutdowns_sent_ = true;
@@ -974,7 +756,7 @@ void Router::maybe_finish_drain() {
     return;  // waiting for the shutdown acknowledgements
   }
   const int killed = pool_.reap_all(5.0);
-  if (shutdown_requested_) {
+  if (shutdown_reply_) {
     obs::JsonWriter w;
     w.begin_object();
     if (shutdown_id_ >= 0) {
@@ -1053,7 +835,7 @@ int Router::run_loop(int client_in, int client_out, bool shutdown_on_eof) {
       } else if (status != wire::ReadStatus::would_block) {
         client_eof = true;
         if (shutdown_on_eof) {
-          begin_drain(-2);
+          begin_drain(-1, /*reply=*/false);
         } else {
           break;  // unix-socket client disconnected; workers stay up
         }
@@ -1087,32 +869,12 @@ int Router::run_stream(int in_fd, int out_fd) {
 }
 
 int Router::run_unix_socket(const std::string& path) {
-  sockaddr_un addr{};
-  HICOND_CHECK(path.size() < sizeof addr.sun_path,
-               "unix socket path is too long");
-  const unique_fd listener(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  HICOND_CHECK(static_cast<bool>(listener), "failed to create unix socket");
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());
-  HICOND_CHECK(::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr) == 0 &&
-                   ::listen(listener.get(), 8) == 0,
-               "failed to bind/listen on unix socket path");
-  while (!stop_) {
-    const unique_fd fd(
-        ::accept4(listener.get(), nullptr, nullptr, SOCK_CLOEXEC));
-    if (!fd) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;
-    }
-    // unique_fd closes the connection even when run_loop throws mid-session
-    // (it used to leak here and strand the client).
-    run_loop(fd.get(), fd.get(), /*shutdown_on_eof=*/false);
-  }
-  ::unlink(path.c_str());
+  // listen_unix closes the connection even when run_loop throws
+  // mid-session.
+  wire::listen_unix(path, [this](int fd) {
+    run_loop(fd, fd, /*shutdown_on_eof=*/false);
+    return !stop_;
+  });
   return 0;
 }
 

@@ -21,13 +21,10 @@
 // `update` creates *derived* fingerprints: the mutated graph is registered
 // on exactly the worker that executed the update, so the router records
 // derived -> root in `derived_root_` and routes every request for a derived
-// fingerprint to its root's primary, with replica promotion disabled (the
-// mirror never saw the update). Successful update lines are kept, in
-// execution order, and replayed after the loads when the owning primary
-// respawns; worker-side cache idempotence makes a replayed or retried
-// update land exactly once. An update also drops the pre-update fingerprint
-// from the hot set -- its mirror is stale relative to the tenant's working
-// set, which has moved to the derived fingerprint.
+// fingerprint to its root's worker. Successful update lines are kept, in
+// execution order, and replayed after the loads when that worker respawns;
+// worker-side cache idempotence makes a replayed or retried update land
+// exactly once.
 //
 // The exchange with a worker is bulk-synchronous in the sense of the
 // distributed expander-decomposition literature (Chen et al., PAPERS.md):
@@ -36,20 +33,20 @@
 // position -- a worker connection is a FIFO lane, never a reordering
 // channel, so no sequence numbers ride the wire.
 //
-// Failure model:
+// Failure model: every fingerprint has exactly one owning worker, its ring
+// primary.
 //   * worker death (EOF/EPIPE on its lane): respawn, replay every `load`
-//     the dead worker owned (preloads included), then re-dispatch its
-//     in-flight requests exactly once; a request whose retry also dies gets
-//     a `worker_failed` error. Requests for *replicated* fingerprints are
-//     promoted to the replica worker immediately instead of waiting out the
-//     respawn.
-//   * hot-set replication: the router counts requests per fingerprint and
-//     mirrors the top-K hot fingerprints onto their ring-replica position,
-//     so losing a worker degrades latency, not availability.
+//     and `update` the dead worker owned (preloads included), then
+//     re-dispatch its in-flight requests exactly once; a request whose
+//     retry also dies gets a `worker_failed` error. While the owner
+//     respawns, its requests wait in its backlog. A worker that fails to
+//     start `max_spawn_attempts` times in a row is permanently failed, and
+//     every request for a fingerprint it owns answers `worker_failed`.
 //   * backpressure: per-worker in-flight windows plus a bounded backlog;
-//     beyond both, requests are shed with `queue_full` exactly like the
-//     single-server queue. Deadlines are enforced router-side while a
-//     request waits (and again worker-side once forwarded).
+//     beyond both, requests are shed with `queue_full`. The worker itself
+//     holds one request at a time, so the window is the only queue past the
+//     router. Deadlines are enforced router-side while a request waits (and
+//     again worker-side once forwarded).
 //
 // Concurrency contract: the router is a single-threaded poll loop -- every
 // member below is touched from one thread, which is why none of it carries
@@ -59,11 +56,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "hicond/obs/json.hpp"
+#include "hicond/serve/request.hpp"
 #include "hicond/serve/shard/ring.hpp"
 #include "hicond/serve/shard/worker_pool.hpp"
 #include "hicond/serve/wire.hpp"
@@ -80,9 +77,6 @@ struct RouterOptions {
   /// Enforced while a request waits router-side; the forwarded line is
   /// untouched, so workers apply their own --deadline-ms default as well.
   double default_deadline_ms = 0.0;
-  int replicate_top_k = 2;          ///< hot fingerprints to mirror
-  std::int64_t hot_threshold = 8;   ///< min requests before a fp is "hot"
-  int hot_recompute_interval = 32;  ///< routed requests between hot scans
   int max_spawn_attempts = 3;       ///< consecutive respawn failures allowed
   double drain_timeout_seconds = 30.0;  ///< bound on shutdown drain
   WorkerOptions worker;  ///< spawn configuration for the pool
@@ -118,23 +112,17 @@ class Router {
  private:
   enum class Action {
     relay,   ///< response goes back to the client
-    absorb,  ///< router-internal (replica mirror, replay, worker shutdown)
+    absorb,  ///< router-internal (preload, replay, worker shutdown)
     stats,   ///< one leg of a stats fan-out
   };
-
-  enum class DispatchResult { sent, queued, shed };
 
   struct Pending {
     std::string raw;              ///< forwarded line (also the retry payload)
     std::int64_t client_id = -1;  ///< for router-generated error responses
-    std::uint64_t fp = 0;
-    bool has_fp = false;
+    std::uint64_t fp = 0;    ///< the root fingerprint the request routes by
     bool retried = false;    ///< one retry spent (next failure is terminal)
     bool discarded = false;  ///< already answered; drop worker's response
     bool is_update = false;  ///< an `update` op; completion is recorded
-    /// Never promote to the replica: the state this request needs (an update
-    /// chain's derived graphs) exists only on the root's primary worker.
-    bool primary_only = false;
     std::uint64_t update_old = 0;  ///< `update` only: pre-update fingerprint
     Action action = Action::relay;
     int stats_tag = -1;
@@ -163,31 +151,28 @@ class Router {
   int run_loop(int client_in, int client_out, bool shutdown_on_eof);
 
   void handle_client_line(const std::string& line);
-  void handle_load(const obs::JsonValue& request, const std::string& line,
-                   std::int64_t id, double deadline_ms);
-  void handle_solve(const obs::JsonValue& request, const std::string& line,
-                    std::int64_t id, double deadline_ms);
-  void handle_update(const obs::JsonValue& request, const std::string& line,
-                     std::int64_t id, double deadline_ms);
+  void handle_load(const Envelope& env, const std::string& line);
+  /// solve, batch_solve and update: forward to the owner of the root.
+  void handle_graph_op(const Envelope& env, const std::string& line);
   void start_stats_fanout(std::int64_t id, double deadline_ms);
   void finish_stats(int tag);
   void handle_topology(std::int64_t id);
-  void begin_drain(std::int64_t id);
+  /// Stop admitting, finish admitted work, stop the workers. With `reply`
+  /// the client gets a shutdown response carrying `id` (a shutdown op);
+  /// without it the drain is silent (stdin reached EOF).
+  void begin_drain(std::int64_t id, bool reply);
   void maybe_finish_drain();
 
-  /// Worker a fingerprint's requests go to right now: the ring primary,
-  /// unless it is unavailable and the fingerprint is replicated (promotion)
-  /// or the primary is permanently failed. With `allow_replica` false the
-  /// replica is never considered (update chains live primary-only).
-  int route_worker(std::uint64_t fp, bool allow_replica = true);
   /// The loaded fingerprint a request for `fp` routes by: `fp` itself when
   /// it was loaded, its recorded root when it is update-derived.
   [[nodiscard]] std::uint64_t resolve_root(std::uint64_t fp) const;
   /// Parse a relayed `update` response and, on success, record the derived
-  /// fingerprint's root, keep the line for respawn replay, and drop the
-  /// pre-update fingerprint from the hot set.
+  /// fingerprint's root and keep the line for respawn replay.
   void record_update_result(const Pending& p, const std::string& line);
-  DispatchResult dispatch(int w, Pending&& p);
+  /// Send `p` down worker `w`'s lane, or queue it in the backlog behind a
+  /// full window. Sheds it with queue_full when the backlog is full too,
+  /// and with worker_failed when the worker is permanently down.
+  void dispatch(int w, Pending&& p);
   void refill_window(int w);
   void flush(int w);
   void on_worker_readable(int w);
@@ -197,7 +182,6 @@ class Router {
   void fail_worker(int w);
   void upkeep();
   void check_deadlines();
-  void maybe_recompute_hot();
 
   void respond(const std::string& body);
   void respond_error(std::int64_t id, const char* code,
@@ -213,15 +197,13 @@ class Router {
   /// Routing table: every fingerprint loaded this session -> source path
   /// (std::map: deterministic replay order).
   std::map<std::uint64_t, std::string> loads_;
-  std::map<std::uint64_t, std::int64_t> requests_by_fp_;
-  std::set<std::uint64_t> replicated_;  ///< mirrored to their replica slot
   /// Update-derived fingerprint -> the loaded root it descends from. A
-  /// derived fingerprint routes to its root's primary, replica promotion
-  /// disabled: the mutated state exists on exactly one worker.
+  /// derived fingerprint routes to its root's worker, which holds the
+  /// mutated state.
   std::map<std::uint64_t, std::uint64_t> derived_root_;
   /// Successful `update` lines in execution order, keyed by root
-  /// fingerprint; replayed after the loads when the root's primary
-  /// respawns, rebuilding the derived graphs the dead worker held.
+  /// fingerprint; replayed after the loads when the root's worker respawns,
+  /// rebuilding the derived graphs the dead worker held.
   std::vector<std::pair<std::uint64_t, std::string>> update_replay_;
 
   std::map<int, StatsFanout> fanouts_;
@@ -233,18 +215,15 @@ class Router {
   bool draining_ = false;
   bool worker_shutdowns_sent_ = false;
   std::int64_t shutdown_id_ = -1;
-  bool shutdown_requested_ = false;  ///< respond when the drain completes
+  bool shutdown_reply_ = false;  ///< respond when the drain completes
   Timer drain_timer_;
   bool stop_ = false;
 
-  int routed_since_hot_scan_ = 0;
   std::int64_t stat_requests_ = 0;
   std::int64_t stat_routed_ = 0;
   std::int64_t stat_updates_ = 0;
   std::int64_t stat_retries_ = 0;
   std::int64_t stat_restarts_ = 0;
-  std::int64_t stat_promotions_ = 0;
-  std::int64_t stat_replications_ = 0;
   std::int64_t stat_shed_ = 0;
 };
 

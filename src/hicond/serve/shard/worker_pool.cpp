@@ -18,7 +18,7 @@ namespace hicond::serve::shard {
 
 namespace {
 
-/// argv for one worker: hicond_serve --socket S --cache-bytes N --queue N
+/// argv for one worker: hicond_serve --socket S --cache-bytes N
 /// [--deadline-ms MS]. Returned as owned strings; exec wants char*.
 std::vector<std::string> worker_argv(const WorkerOptions& options,
                                      const std::string& socket) {
@@ -28,8 +28,6 @@ std::vector<std::string> worker_argv(const WorkerOptions& options,
   args.push_back(socket);
   args.push_back("--cache-bytes");
   args.push_back(std::to_string(options.cache_bytes));
-  args.push_back("--queue");
-  args.push_back(std::to_string(options.queue_capacity));
   if (options.deadline_ms > 0.0) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", options.deadline_ms);

@@ -29,7 +29,6 @@ struct WorkerOptions {
   std::string binary;      ///< path to the hicond_serve executable
   std::string socket_dir;  ///< directory for worker-<i>.sock files
   std::size_t cache_bytes = std::size_t{256} << 20;  ///< per-worker cache
-  std::size_t queue_capacity = 64;  ///< per-worker admission queue
   double deadline_ms = 0.0;         ///< worker default deadline; <= 0 none
   double spawn_timeout_seconds = 20.0;  ///< bound on spawn-to-connect
 };

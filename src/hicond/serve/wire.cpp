@@ -2,13 +2,17 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/uio.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <vector>
 
 #include "hicond/util/common.hpp"
+#include "hicond/util/unique_fd.hpp"
 
 namespace hicond::serve::wire {
 
@@ -104,6 +108,36 @@ bool set_nonblocking(int fd) {
     return false;
   }
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+void listen_unix(const std::string& path,
+                 const std::function<bool(int fd)>& serve) {
+  sockaddr_un addr{};
+  HICOND_CHECK(path.size() < sizeof addr.sun_path,
+               "unix socket path is too long");
+  const unique_fd listener(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  HICOND_CHECK(static_cast<bool>(listener), "failed to create unix socket");
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ::unlink(path.c_str());
+  HICOND_CHECK(::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr) == 0 &&
+                   ::listen(listener.get(), 8) == 0,
+               "failed to bind/listen on unix socket path");
+  for (;;) {
+    const unique_fd fd(
+        ::accept4(listener.get(), nullptr, nullptr, SOCK_CLOEXEC));
+    if (!fd) {
+      if (errno == EINTR) {
+        continue;
+      }
+      break;
+    }
+    if (!serve(fd.get())) {
+      break;
+    }
+  }
+  ::unlink(path.c_str());
 }
 
 bool drain_nonblocking(int fd, std::string& buffer) {

@@ -7,10 +7,12 @@
 // one place that handles partial writes, EINTR, and (for the router's
 // multiplexed connections) non-blocking buffered draining, so the worker
 // transport (serve/server.cpp) and the router proxy (serve/shard/) share a
-// single audited implementation instead of two subtly different loops.
+// single audited implementation instead of two subtly different loops. The
+// unix-socket bind/accept loop both of them serve from lives here too.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,6 +39,15 @@ namespace hicond::serve::wire {
 
 /// Set O_NONBLOCK on `fd`; returns false when fcntl fails.
 [[nodiscard]] bool set_nonblocking(int fd);
+
+/// Serve a unix domain socket at `path`: bind and listen (replacing a stale
+/// socket file), then accept one connection at a time and call `serve` on
+/// it; the connection is closed when `serve` returns, and also when it
+/// throws (the exception propagates). Returns once `serve` returns false or
+/// accept fails hard, removing the socket file. Throws
+/// invalid_argument_error when the socket cannot be bound.
+void listen_unix(const std::string& path,
+                 const std::function<bool(int fd)>& serve);
 
 class LineBuffer;
 

@@ -6,8 +6,10 @@
 //    independent single-vector solves -- at every thread count in the
 //    determinism matrix (the blocked kernels preserve each column's
 //    arithmetic order exactly; docs/PARALLELISM.md).
-// 3. Overload and deadline expiry produce well-formed JSON error
-//    responses, never dropped requests or a dead server.
+// 3. Deadline expiry and malformed input -- including wire integers that
+//    are fractional or out of range -- produce well-formed JSON error
+//    responses, never dropped requests, undefined behaviour or a dead
+//    server.
 //
 // <omp.h> is used only to force the ambient thread count, as in
 // test_thread_determinism.cpp.
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hicond/dynamic/update.hpp"
@@ -25,7 +28,7 @@
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/serve/batch.hpp"
 #include "hicond/serve/cache.hpp"
-#include "hicond/serve/client.hpp"
+#include "hicond/serve/request.hpp"
 #include "hicond/serve/server.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/solver.hpp"
@@ -35,8 +38,7 @@ namespace hicond {
 namespace {
 
 using serve::HierarchyCache;
-using serve::InProcessClient;
-using serve::ServerOptions;
+using serve::ServerCore;
 
 constexpr int kThreadMatrix[] = {1, 4, 8};
 
@@ -57,6 +59,11 @@ std::vector<double> mean_free_rhs(vidx n, std::uint64_t seed) {
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
   la::remove_mean(b);
   return b;
+}
+
+/// One request through ServerCore::handle, the path every transport takes.
+obs::JsonValue call(ServerCore& core, const std::string& line) {
+  return obs::parse_json(core.handle(line));
 }
 
 Graph test_graph() {
@@ -336,21 +343,21 @@ TEST(ServeServer, ColdWarmSolveOverTheWire) {
   const std::string path = write_test_snapshot(g, "serve_wire.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
 
-  InProcessClient client;
+  ServerCore core;
   const auto loaded =
-      client.call(R"({"id":1,"op":"load","path":")" + path + R"("})");
+      call(core, R"({"id":1,"op":"load","path":")" + path + R"("})");
   ASSERT_TRUE(loaded.at("ok").boolean);
   EXPECT_EQ(loaded.at("graph").string, fp);
 
   const std::string solve_req =
       R"({"id":2,"op":"solve","graph":")" + fp + R"(","rhs_seed":42})";
-  const auto cold = client.call(solve_req);
+  const auto cold = call(core, solve_req);
   ASSERT_TRUE(cold.at("ok").boolean);
   EXPECT_FALSE(cold.at("cache_hit").boolean);
   EXPECT_GT(cold.at("setup_seconds").number, 0.0);
   EXPECT_TRUE(cold.at("converged").boolean);
 
-  const auto warm = client.call(solve_req);
+  const auto warm = call(core, solve_req);
   ASSERT_TRUE(warm.at("ok").boolean);
   EXPECT_TRUE(warm.at("cache_hit").boolean);
   EXPECT_EQ(warm.at("setup_seconds").number, 0.0);
@@ -367,11 +374,11 @@ TEST(ServeServer, BatchColumnsMatchSingleSolvesOverTheWire) {
   const std::string path = write_test_snapshot(g, "serve_batch.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
 
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
-  const auto batch = client.call(
+  const auto batch = call(core,
       R"({"op":"batch_solve","graph":")" + fp +
       R"(","rhs_random":{"count":3,"seed":7}})");
   ASSERT_TRUE(batch.at("ok").boolean);
@@ -380,7 +387,7 @@ TEST(ServeServer, BatchColumnsMatchSingleSolvesOverTheWire) {
   // rhs_random seeds are seed+j; each single solve must land on the same
   // bits as the corresponding batched column.
   for (std::size_t j = 0; j < hashes.size(); ++j) {
-    const auto single = client.call(
+    const auto single = call(core,
         R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":)" +
         std::to_string(7 + j) + "}");
     ASSERT_TRUE(single.at("ok").boolean);
@@ -393,12 +400,12 @@ TEST(ServeServer, BackendSelectionOverTheWire) {
   const Graph g = test_graph();
   const std::string path = write_test_snapshot(g, "serve_backend.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
 
-  const auto bad = client.call(R"({"id":9,"op":"solve","graph":")" + fp +
+  const auto bad = call(core, R"({"id":9,"op":"solve","graph":")" + fp +
                                R"(","rhs_seed":1,"backend":"nope"})");
   EXPECT_FALSE(bad.at("ok").boolean);
   EXPECT_EQ(bad.at("error").string, "unknown_backend");
@@ -407,12 +414,12 @@ TEST(ServeServer, BackendSelectionOverTheWire) {
     const std::string req = R"({"op":"solve","graph":")" + fp +
                             R"(","rhs_seed":5,"backend":")" + backend +
                             R"("})";
-    const auto cold = client.call(req);
+    const auto cold = call(core, req);
     ASSERT_TRUE(cold.at("ok").boolean) << backend;
     EXPECT_FALSE(cold.at("cache_hit").boolean) << backend;  // own entry
     EXPECT_EQ(cold.at("backend").string, backend);
     EXPECT_TRUE(cold.at("converged").boolean) << backend;
-    const auto warm = client.call(req);
+    const auto warm = call(core, req);
     ASSERT_TRUE(warm.at("ok").boolean) << backend;
     EXPECT_TRUE(warm.at("cache_hit").boolean) << backend;
     EXPECT_EQ(warm.at("solution_fnv").string, cold.at("solution_fnv").string)
@@ -421,7 +428,7 @@ TEST(ServeServer, BackendSelectionOverTheWire) {
 
   // backend_options thread through to the canonical key: a reseeded
   // low-diameter request is its own cold entry.
-  const auto reseeded = client.call(
+  const auto reseeded = call(core,
       R"({"op":"solve","graph":")" + fp +
       R"(","rhs_seed":5,"backend":"lowdiam","backend_options":{"seed":9}})");
   ASSERT_TRUE(reseeded.at("ok").boolean);
@@ -432,14 +439,14 @@ TEST(ServeServer, HostileRandomRhsCountIsRejectedBeforeAllocating) {
   const Graph g = test_graph();
   const std::string path = write_test_snapshot(g, "serve_count_cap.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
   // A wire-supplied count is untrusted: 2e9 columns would reserve multi-GB
   // before any solve runs. The server must reject it as bad_request (the
   // untrusted-size cap), not attempt the allocation.
-  const auto huge = client.call(
+  const auto huge = call(core,
       R"({"id":9,"op":"batch_solve","graph":")" + fp +
       R"(","rhs_random":{"count":2000000000,"seed":1}})");
   EXPECT_FALSE(huge.at("ok").boolean);
@@ -448,21 +455,21 @@ TEST(ServeServer, HostileRandomRhsCountIsRejectedBeforeAllocating) {
             std::string::npos);
 
   // Just past the cap is rejected too -- the boundary is exact...
-  const auto past_cap = client.call(
+  const auto past_cap = call(core,
       R"({"id":10,"op":"batch_solve","graph":")" + fp +
       R"(","rhs_random":{"count":4097,"seed":1}})");
   EXPECT_FALSE(past_cap.at("ok").boolean);
   EXPECT_EQ(past_cap.at("error").string, "bad_request");
 
   // ...while ordinary small batches still work.
-  const auto ok = client.call(
+  const auto ok = call(core,
       R"({"id":11,"op":"batch_solve","graph":")" + fp +
       R"(","rhs_random":{"count":2,"seed":1}})");
   ASSERT_TRUE(ok.at("ok").boolean);
   EXPECT_EQ(ok.at("solution_fnv").array.size(), 2u);
 
   // Zero and negative counts keep their existing lower-bound rejection.
-  const auto zero = client.call(
+  const auto zero = call(core,
       R"({"id":12,"op":"batch_solve","graph":")" + fp +
       R"(","rhs_random":{"count":0,"seed":1}})");
   EXPECT_FALSE(zero.at("ok").boolean);
@@ -473,13 +480,13 @@ TEST(ServeServer, DeadlineExceededIsWellFormedError) {
   const Graph g = test_graph();
   const std::string path = write_test_snapshot(g, "serve_deadline.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
   // deadline_ms 0 expires as soon as any time elapses after admission:
   // deterministic deadline_exceeded without sleeping in the test.
-  const auto response = client.call(
+  const auto response = call(core,
       R"({"id":77,"op":"solve","graph":")" + fp +
       R"(","rhs_seed":1,"deadline_ms":0})");
   EXPECT_FALSE(response.at("ok").boolean);
@@ -488,47 +495,101 @@ TEST(ServeServer, DeadlineExceededIsWellFormedError) {
   EXPECT_FALSE(response.at("message").string.empty());
 }
 
-TEST(ServeServer, QueueFullShedsWithWellFormedError) {
-  ServerOptions options;
-  options.queue_capacity = 2;
-  InProcessClient client(options);
-  EXPECT_FALSE(client.submit_only(R"({"id":1,"op":"stats"})").has_value());
-  EXPECT_FALSE(client.submit_only(R"({"id":2,"op":"stats"})").has_value());
-  const auto shed = client.submit_only(R"({"id":3,"op":"stats"})");
-  ASSERT_TRUE(shed.has_value());
-  const auto parsed = obs::parse_json(*shed);
-  EXPECT_FALSE(parsed.at("ok").boolean);
-  EXPECT_EQ(parsed.at("error").string, "queue_full");
-  EXPECT_EQ(static_cast<int>(parsed.at("id").number), 3);
-  // The queued requests still complete in order after the shed.
-  const auto responses = client.drain();
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_TRUE(obs::parse_json(responses[0]).at("ok").boolean);
-  EXPECT_TRUE(obs::parse_json(responses[1]).at("ok").boolean);
-}
-
 TEST(ServeServer, MalformedAndUnknownRequestsAreErrors) {
-  InProcessClient client;
-  const auto bad = client.call("this is not json");
+  ServerCore core;
+  const auto bad = call(core, "this is not json");
   EXPECT_FALSE(bad.at("ok").boolean);
   EXPECT_EQ(bad.at("error").string, "parse_error");
 
-  const auto unknown = client.call(R"({"id":4,"op":"florble"})");
+  const auto unknown = call(core, R"({"id":4,"op":"florble"})");
   EXPECT_FALSE(unknown.at("ok").boolean);
   EXPECT_EQ(unknown.at("error").string, "unknown_op");
 
-  const auto missing = client.call(
+  const auto missing = call(core,
       R"({"op":"solve","graph":"0000000000000000","rhs_seed":1})");
   EXPECT_FALSE(missing.at("ok").boolean);
   EXPECT_EQ(missing.at("error").string, "not_found");
 }
 
+TEST(ServeServer, SubmitHoldsOneRequestUntilStepped) {
+  ServerCore core;
+  EXPECT_FALSE(core.submit(R"({"id":1,"op":"stats"})").has_value());
+  // Every transport steps a line before it reads the next, so a second
+  // submit() without a step() is a caller bug, not a queued request.
+  EXPECT_THROW((void)core.submit(R"({"id":2,"op":"stats"})"),
+               invalid_argument_error);
+  const auto first = core.step();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(static_cast<int>(obs::parse_json(*first).at("id").number), 1);
+  EXPECT_FALSE(core.step().has_value());
+}
+
+TEST(ServeServer, OutOfRangeWireIntegersAreRejected) {
+  const Graph g = test_graph();
+  const std::string path = write_test_snapshot(g, "serve_wire_ints.hsnap");
+  const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
+                  .at("ok")
+                  .boolean);
+
+  // An id must be an integer in [0, 2^53]. Anything else is a parse_error
+  // that echoes no id -- never a truncated or wrapped one.
+  for (const std::string id : {"1.7", "1e300", "-2"}) {
+    const auto r = call(core, R"({"id":)" + id + R"(,"op":"stats"})");
+    EXPECT_FALSE(r.at("ok").boolean) << id;
+    EXPECT_EQ(r.at("error").string, "parse_error") << id;
+    EXPECT_TRUE(r.find("id") == nullptr) << id;
+  }
+
+  // One fractional or out-of-range value per integer field: bad_request,
+  // id echoed, field named. Each would have been truncated (or cast with
+  // undefined behaviour) and accepted before.
+  const std::string solve =
+      R"({"id":5,"op":"solve","graph":")" + fp + R"(","rhs_seed":1)";
+  const std::string batch = R"({"id":5,"op":"batch_solve","graph":")" + fp +
+                            R"(","rhs_random":)";
+  const std::string update = R"({"id":5,"op":"update","graph":")" + fp +
+                             R"(","updates":[{"kind":"reweight",)";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {solve + R"(,"max_iterations":2.5})", "max_iterations"},
+      {solve + R"(,"max_iterations":1e300})", "max_iterations"},
+      {solve + R"(,"backend_options":{"max_cluster_size":3.5}})",
+       "max_cluster_size"},
+      {solve + R"(,"backend_options":{"seed":1.5}})", "seed"},
+      {solve + R"(,"backend":"louvain","backend_options":{"rounds":2.5}})",
+       "rounds"},
+      {R"({"id":5,"op":"solve","graph":")" + fp + R"(","rhs_seed":1.5})",
+       "rhs_seed"},
+      {R"({"id":5,"op":"solve","graph":")" + fp + R"(","rhs_seed":-1})",
+       "rhs_seed"},
+      {batch + R"({"count":2.5,"seed":1}})", "count"},
+      {batch + R"({"count":2,"seed":0.5}})", "seed"},
+      {update + R"("u":0.5,"v":1,"weight":2}]})", "u"},
+      {update + R"("u":0,"v":1e300,"weight":2}]})", "v"},
+  };
+  for (const auto& [line, field] : cases) {
+    const auto r = call(core, line);
+    EXPECT_FALSE(r.at("ok").boolean) << line;
+    EXPECT_EQ(r.at("error").string, "bad_request") << line;
+    EXPECT_EQ(static_cast<int>(r.at("id").number), 5) << line;
+    EXPECT_NE(r.at("message").string.find("field \"" + field + "\""),
+              std::string::npos)
+        << line << " -> " << r.at("message").string;
+  }
+
+  // Nothing was admitted half-way: the server still answers normally.
+  const auto solve_ok = call(core, solve + "}");
+  ASSERT_TRUE(solve_ok.at("ok").boolean);
+  EXPECT_TRUE(solve_ok.at("converged").boolean);
+}
+
 TEST(ServeServer, ShutdownDrainsAndStops) {
-  InProcessClient client;
-  EXPECT_FALSE(client.core().shutting_down());
-  const auto response = client.call(R"({"op":"shutdown"})");
+  ServerCore core;
+  EXPECT_FALSE(core.shutting_down());
+  const auto response = call(core, R"({"op":"shutdown"})");
   EXPECT_TRUE(response.at("ok").boolean);
-  EXPECT_TRUE(client.core().shutting_down());
+  EXPECT_TRUE(core.shutting_down());
 }
 
 // --- the update op --------------------------------------------------------
@@ -538,20 +599,20 @@ TEST(ServeUpdate, UpdateOverTheWireServesBothFingerprints) {
   const std::string path = write_test_snapshot(g, "serve_update.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
 
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
   // Warm the old fingerprint so the update can repair in place.
   ASSERT_TRUE(
-      client.call(R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":1})")
+      call(core, R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":1})")
           .at("ok")
           .boolean);
 
   const std::string update_req =
       R"({"id":5,"op":"update","graph":")" + fp +
       R"(","updates":[{"kind":"reweight","u":0,"v":1,"weight":9.5}]})";
-  const auto up = client.call(update_req);
+  const auto up = call(core, update_req);
   ASSERT_TRUE(up.at("ok").boolean) << up.at("message").string;
   EXPECT_FALSE(up.at("unchanged").boolean);
   const std::string new_fp = up.at("new_graph").string;
@@ -559,20 +620,20 @@ TEST(ServeUpdate, UpdateOverTheWireServesBothFingerprints) {
   EXPECT_EQ(static_cast<vidx>(up.at("n").number), g.num_vertices());
   // The mutated hierarchy was installed under the new fingerprint with the
   // same solver options, so a follow-up solve is a cache hit...
-  const auto solve_new = client.call(
+  const auto solve_new = call(core,
       R"({"op":"solve","graph":")" + new_fp + R"(","rhs_seed":1})");
   ASSERT_TRUE(solve_new.at("ok").boolean);
   EXPECT_TRUE(solve_new.at("cache_hit").boolean);
   EXPECT_TRUE(solve_new.at("converged").boolean);
   // ...and the pre-update graph remains served.
-  const auto solve_old = client.call(
+  const auto solve_old = call(core,
       R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":1})");
   ASSERT_TRUE(solve_old.at("ok").boolean);
   EXPECT_TRUE(solve_old.at("cache_hit").boolean);
 
   // A retried (duplicate) update lands exactly once: same new fingerprint,
   // no second build.
-  const auto retry = client.call(update_req);
+  const auto retry = call(core, update_req);
   ASSERT_TRUE(retry.at("ok").boolean);
   EXPECT_EQ(retry.at("new_graph").string, new_fp);
   EXPECT_TRUE(retry.at("already_cached").boolean);
@@ -582,12 +643,12 @@ TEST(ServeUpdate, EmptyAndNetNoOpBatchesAreUnchanged) {
   const Graph g = test_graph();
   const std::string path = write_test_snapshot(g, "serve_update_noop.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
 
-  const auto empty = client.call(
+  const auto empty = call(core,
       R"({"op":"update","graph":")" + fp + R"(","updates":[]})");
   ASSERT_TRUE(empty.at("ok").boolean);
   EXPECT_TRUE(empty.at("unchanged").boolean);
@@ -595,7 +656,7 @@ TEST(ServeUpdate, EmptyAndNetNoOpBatchesAreUnchanged) {
 
   // Insert + delete of the same absent edge cancels in canonical form, so
   // the fingerprint round-trips and no new state is registered.
-  const auto cancel = client.call(
+  const auto cancel = call(core,
       R"({"op":"update","graph":")" + fp +
       R"(","updates":[{"kind":"insert","u":0,"v":25,"weight":2.0},)"
       R"({"kind":"delete","u":0,"v":25}]})");
@@ -620,30 +681,30 @@ TEST(ServeUpdate, RebuildModeIsBitwiseIdenticalToColdLoadOfMutatedGraph) {
   const std::string mutated_fp =
       serve::fingerprint_hex(serve::graph_fingerprint(mutated));
 
-  InProcessClient cold;
+  ServerCore cold;
   ASSERT_TRUE(
-      cold.call(R"({"op":"load","path":")" + mutated_path + R"("})")
+      call(cold, R"({"op":"load","path":")" + mutated_path + R"("})")
           .at("ok")
           .boolean);
-  const auto truth = cold.call(
+  const auto truth = call(cold,
       R"({"op":"solve","graph":")" + mutated_fp + R"(","rhs_seed":42})");
   ASSERT_TRUE(truth.at("ok").boolean);
 
   // Candidate: the same graph reached through the update op in rebuild
   // mode. A rebuild constructs the hierarchy from scratch exactly like a
   // cold load, so the solution bits must match the truth server's.
-  InProcessClient via_update;
-  ASSERT_TRUE(via_update.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore via_update;
+  ASSERT_TRUE(call(via_update, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
-  const auto up = via_update.call(
+  const auto up = call(via_update,
       R"({"op":"update","graph":")" + fp + R"(","mode":"rebuild",)"
       R"("updates":[{"kind":"insert","u":0,"v":25,"weight":1.5},)"
       R"({"kind":"reweight","u":0,"v":1,"weight":3.0}]})");
   ASSERT_TRUE(up.at("ok").boolean) << up.at("message").string;
   EXPECT_FALSE(up.at("repaired").boolean);
   ASSERT_EQ(up.at("new_graph").string, mutated_fp);
-  const auto candidate = via_update.call(
+  const auto candidate = call(via_update,
       R"({"op":"solve","graph":")" + mutated_fp + R"(","rhs_seed":42})");
   ASSERT_TRUE(candidate.at("ok").boolean);
   EXPECT_EQ(candidate.at("solution_fnv").string,
@@ -657,33 +718,81 @@ TEST(ServeUpdate, ErrorPathsLeaveServerStateUntouched) {
   const Graph g = gen::path(6, gen::WeightSpec::uniform(1.0, 2.0), 3);
   const std::string path = write_test_snapshot(g, "serve_update_err.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
-  InProcessClient client;
-  ASSERT_TRUE(client.call(R"({"op":"load","path":")" + path + R"("})")
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
                   .at("ok")
                   .boolean);
 
-  const auto unloaded = client.call(
+  const auto unloaded = call(core,
       R"({"op":"update","graph":"00000000deadbeef","updates":[]})");
   EXPECT_FALSE(unloaded.at("ok").boolean);
   EXPECT_EQ(unloaded.at("error").string, "not_found");
 
-  const auto malformed = client.call(
+  const auto malformed = call(core,
       R"({"op":"update","graph":")" + fp +
       R"(","updates":[{"kind":"teleport","u":0,"v":1}]})");
   EXPECT_FALSE(malformed.at("ok").boolean);
   EXPECT_EQ(malformed.at("error").string, "bad_request");
 
-  const auto disconnect = client.call(
+  const auto disconnect = call(core,
       R"({"op":"update","graph":")" + fp +
       R"(","updates":[{"kind":"delete","u":2,"v":3}]})");
   EXPECT_FALSE(disconnect.at("ok").boolean);
   EXPECT_EQ(disconnect.at("error").string, "disconnected");
 
   // After all three rejections the original graph still solves.
-  const auto solve = client.call(
+  const auto solve = call(core,
       R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":2})");
   ASSERT_TRUE(solve.at("ok").boolean);
   EXPECT_TRUE(solve.at("converged").boolean);
+}
+
+// --- the request envelope --------------------------------------------------
+
+TEST(ServeRequest, EnvelopeAcceptsOnlyIntegerIdsInRange) {
+  serve::Envelope env;
+  for (const char* id : {"0", "7", "9007199254740992"}) {
+    EXPECT_FALSE(serve::parse_envelope(std::string(R"({"op":"stats","id":)") +
+                                           id + "}",
+                                       0.0, env)
+                     .has_value())
+        << id;
+    EXPECT_EQ(std::to_string(env.id), id);
+  }
+  EXPECT_FALSE(serve::parse_envelope(R"({"op":"stats"})", 0.0, env));
+  EXPECT_EQ(env.id, -1);
+
+  // -2 was once the router's silent-drain sentinel; -1 is "no id". Neither,
+  // nor a fraction, an out-of-range value or a non-number, is an id.
+  for (const char* id :
+       {"-2", "-1", "1.5", "1e300", "9007199254740994", "\"7\"", "null"}) {
+    const auto refused = serve::parse_envelope(
+        std::string(R"({"op":"shutdown","id":)") + id + "}", 0.0, env);
+    ASSERT_TRUE(refused.has_value()) << id;
+    const auto r = obs::parse_json(*refused);
+    EXPECT_FALSE(r.at("ok").boolean) << id;
+    EXPECT_EQ(r.at("error").string, "parse_error") << id;
+    EXPECT_TRUE(r.find("id") == nullptr) << id;
+  }
+
+  // A valid id is echoed on a parse_error about another field.
+  const auto no_op = serve::parse_envelope(R"({"id":7})", 0.0, env);
+  ASSERT_TRUE(no_op.has_value());
+  EXPECT_EQ(static_cast<int>(obs::parse_json(*no_op).at("id").number), 7);
+}
+
+TEST(ServeRequest, EnvelopeDeadlineDefaultsAndOverrides) {
+  serve::Envelope env;
+  ASSERT_FALSE(serve::parse_envelope(R"({"op":"stats"})", 0.0, env));
+  EXPECT_LT(env.deadline_ms, 0.0);
+  ASSERT_FALSE(serve::parse_envelope(R"({"op":"stats"})", 250.0, env));
+  EXPECT_DOUBLE_EQ(env.deadline_ms, 250.0);
+  ASSERT_FALSE(
+      serve::parse_envelope(R"({"op":"stats","deadline_ms":0})", 250.0, env));
+  EXPECT_DOUBLE_EQ(env.deadline_ms, 0.0);
+  EXPECT_TRUE(serve::parse_envelope(R"({"op":"stats","deadline_ms":"soon"})",
+                                    0.0, env)
+                  .has_value());
 }
 
 // --- fingerprints ---------------------------------------------------------

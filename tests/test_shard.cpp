@@ -52,7 +52,6 @@ TEST(shard_ring, PlacementIsDeterministic) {
   const HashRing b(5, 64);
   for (const std::uint64_t fp : sample_fingerprints(512)) {
     EXPECT_EQ(a.primary(fp), b.primary(fp));
-    EXPECT_EQ(a.replica(fp), b.replica(fp));
   }
 }
 
@@ -81,21 +80,10 @@ TEST(shard_ring, SpreadsKeysAcrossWorkers) {
   }
 }
 
-TEST(shard_ring, ReplicaIsAlwaysADistinctWorker) {
-  const HashRing ring(3, 64);
-  for (const std::uint64_t fp : sample_fingerprints(512)) {
-    const int p = ring.primary(fp);
-    const int r = ring.replica(fp);
-    ASSERT_GE(r, 0);
-    EXPECT_NE(p, r);
-  }
-}
-
-TEST(shard_ring, SingleWorkerHasNoReplica) {
+TEST(shard_ring, SingleWorkerOwnsEveryKey) {
   const HashRing ring(1, 64);
   for (const std::uint64_t fp : sample_fingerprints(64)) {
     EXPECT_EQ(ring.primary(fp), 0);
-    EXPECT_EQ(ring.replica(fp), -1);
   }
 }
 

@@ -271,13 +271,15 @@ bool isSanitizerCall(const clang::CallExpr* c) {
 
 /// Is this call a taint source -- an integer freshly decoded from untrusted
 /// bytes? Snapshot Reader::u8/u16/u32/u64 member calls and the NDJSON
-/// number_or() helper qualify; JsonValue's raw `.number` member is handled
-/// separately as a MemberExpr.
+/// number_or() and integer_field() helpers qualify; JsonValue's raw
+/// `.number` member is handled separately as a MemberExpr. integer_field()
+/// range-checks against the bounds its caller passes, which are type
+/// limits, not allocation caps, so its result stays tainted.
 bool isSourceCall(const clang::CallExpr* c) {
   const clang::FunctionDecl* fd = c->getDirectCallee();
   if (fd == nullptr || fd->getIdentifier() == nullptr) return false;
   const llvm::StringRef n = fd->getName();
-  if (n == "number_or") return true;
+  if (n == "number_or" || n == "integer_field") return true;
   if (isa<clang::CXXMemberCallExpr>(c)) {
     return n == "u8" || n == "u16" || n == "u32" || n == "u64";
   }

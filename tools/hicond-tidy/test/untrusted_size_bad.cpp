@@ -25,6 +25,8 @@ struct JsonValue {
 };
 
 double number_or(const JsonValue& object, const char* name, double fallback);
+long long integer_field(const JsonValue& object, const char* name,
+                        long long lo, long long hi, long long fallback);
 
 void direct_sink(Reader& r, std::vector<int>& v) {
   v.resize(r.u32("count"));  // expect: untrusted-size
@@ -59,6 +61,12 @@ void json_number_member(const JsonValue& field, std::vector<double>& rhs) {
 void number_or_helper(const JsonValue& spec, std::vector<double>& rhs) {
   const auto count = static_cast<int>(number_or(spec, "count", 1.0));
   rhs.resize(count);  // expect: untrusted-size
+}
+
+void integer_field_helper(const JsonValue& spec, std::vector<double>& rhs) {
+  // In range for the type is not capped for an allocation.
+  const long long count = integer_field(spec, "count", 1, 1LL << 53, 1);
+  rhs.reserve(static_cast<unsigned long long>(count));  // expect: untrusted-size
 }
 
 int* array_new(Reader& r) {

@@ -27,6 +27,8 @@ struct JsonValue {
 };
 
 double number_or(const JsonValue& object, const char* name, double fallback);
+long long integer_field(const JsonValue& object, const char* name,
+                        long long lo, long long hi, long long fallback);
 
 void sanitized_by_check(Reader& r, std::vector<int>& v) {
   const std::uint32_t n = r.u32("count");
@@ -44,6 +46,14 @@ void sanitized_number_or(const JsonValue& spec, std::vector<double>& rhs) {
   const auto count = static_cast<int>(number_or(spec, "count", 1.0));
   HICOND_CHECK(count >= 1 && count <= 64, "count out of range");
   rhs.reserve(static_cast<std::size_t>(count));
+}
+
+void integer_field_through_checked_size(const JsonValue& spec,
+                                        std::vector<double>& rhs) {
+  const long long count = integer_field(spec, "count", 1, 1LL << 53, 1);
+  const std::size_t columns = hicond::checked_size(
+      static_cast<std::uint64_t>(count), 4096, "rhs_random.count");
+  rhs.reserve(columns);
 }
 
 void sink_inside_the_check_is_the_guard(Reader& r, std::vector<bool>& seen) {

@@ -161,8 +161,8 @@ def make_graph_io() -> None:
 
 # ---------------------------------------------------------------------------
 # wire: raw bytes framed by wire::LineBuffer and round-tripped through a
-# socketpair; complete lines additionally go through router-style request
-# parsing (id / op / deadline_ms).
+# socketpair; complete lines additionally go through serve::parse_envelope
+# (id / op / deadline_ms), the parse stage of the server and the router.
 # ---------------------------------------------------------------------------
 def make_wire() -> None:
     write(
@@ -179,6 +179,15 @@ def make_wire() -> None:
     write("wire", "crlf_is_payload", b"line1\r\nline2\r\n")
     write("wire", "all_bytes", bytes(range(256)) + b"\n")
     write("wire", "bad_request_lines", b'{"op":42}\n{"id":"x","op":[]}\n')
+    # Ids that are not integers in [0, 2^53]: each must be refused with a
+    # well-formed parse_error, never cast with undefined behaviour.
+    write(
+        "wire",
+        "hostile_ids",
+        b'{"id":1e300,"op":"stats"}\n{"id":-2,"op":"shutdown"}\n'
+        b'{"id":1.7,"op":"stats"}\n{"id":-1e300,"op":"stats"}\n'
+        b'{"id":9007199254740994,"op":"stats"}\n',
+    )
     # Longer than one read_into chunk boundary-derived append; ends with an
     # unterminated tail that must stay buffered.
     write("wire", "long_line", b"x" * 5000 + b"\n" + b"y" * 100)

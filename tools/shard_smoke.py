@@ -1,25 +1,35 @@
 #!/usr/bin/env python3
 """Scripted end-to-end session against the sharded hicond serving stack.
 
-Drives the real hicond_router + hicond_serve binaries through the real wire
-protocol (router on stdio, workers over unix sockets) and asserts the
-sharding subsystem's contract:
+Drives the real hicond_serve and hicond_router binaries through the real
+wire protocol (lone server and router on stdio, workers over unix sockets)
+and asserts the serving contract, first of one server, then of the sharded
+deployment:
 
-  1. reference: a lone hicond_serve answers every solve/batch_solve first;
+  1. lone server: a binary snapshot produced by `hicond_tool
+     snapshot-convert` loads under the fingerprint `hicond_tool fingerprint`
+     printed; the second identical solve is a cache hit whose setup costs
+     at most 5% of the cold build and whose solution is bitwise identical;
+     an 8-RHS batched solve returns, per column, exactly the bits of the
+     single-RHS solves (rhs_random seeds are seed+j) and, on multicore
+     machines, beats their summed time (each side the best of three
+     alternating rounds, so one stalled round on a busy host does not
+     decide it); a deadline_ms=0 request is shed with deadline_exceeded and
+     the server keeps serving; stats count one cold build; shutdown exits 0.
+  2. reference: a lone hicond_serve answers every solve/batch_solve first;
      its solution_fnv values are the ground truth for bitwise equality.
-  2. topology: the router reports 3 live workers with distinct pids, the
-     ring parameters, and -- after loads -- each graph's primary/replica
-     placement.
-  3. routing: every solve and batch_solve routed through the router returns
+  3. topology: the router reports 3 live workers with distinct pids, the
+     ring parameters, and -- after loads -- each graph's owning worker.
+  4. routing: every solve and batch_solve routed through the router returns
      solution_fnv values byte-identical to the lone server's; warm repeats
-     are cache hits with identical bits.
-  4. backends: solves carrying a partitioner-backend selection route to
+     are cache hits with identical bits. A shutdown line whose id is -2 (not
+     an id at all) is refused with parse_error, and the deployment keeps
+     serving.
+  5. backends: solves carrying a partitioner-backend selection route to
      their own cache entries and stay byte-identical to a lone server
      running the same session; an unknown backend is rejected; an update
      against a louvain-built entry declines local repair with
      "backend_unsupported" and lands via the cold-rebuild fallback.
-  5. replication: hammering one fingerprint past the hot threshold mirrors
-     it to its replica position (`replicated` flips in topology).
   6. supervision: SIGKILLing the worker that owns a slow cold build while
      the request is in flight must be invisible to the client -- the router
      respawns the worker, replays its loads, retries the request once, and
@@ -46,8 +56,10 @@ import time
 WORKERS = 3
 RHS_SEED = 17
 BATCH_K = 4
-HOT_THRESHOLD = 4
-HOT_INTERVAL = 6
+# The lone-server contract pass has inputs of its own.
+LONE_RHS_SEED = 100
+LONE_BATCH_K = 8
+TIMING_ROUNDS = 3
 
 
 def fail(message):
@@ -94,6 +106,14 @@ class Session:
 
     def call(self, request):
         return self.read_response(self.post(request))
+
+    def call_raw(self, line):
+        """Send one line verbatim (no id added) and return its response."""
+        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.flush()
+        response = self.proc.stdout.readline()
+        check(response, f"server closed the stream answering {line!r}")
+        return json.loads(response)
 
     def finish(self):
         out, err = self.proc.communicate(timeout=120)
@@ -150,6 +170,132 @@ def kill_when_busy(pid, timeout=30.0):
     os.kill(pid, signal.SIGKILL)
 
 
+def lone_server_contract(serve_bin, tool_bin, work):
+    """The single-server contract: snapshot load, cold -> warm, batch vs
+    sequential, deadline shed, stats and a clean exit."""
+    wel = os.path.join(work, "smoke.wel")
+    snap = os.path.join(work, "smoke.hsnap")
+    run(tool_bin, "gen", "grid2d", "32", wel, "3")
+    run(tool_bin, "snapshot-convert", wel, snap)
+    fingerprint = run(tool_bin, "fingerprint", snap)
+    check(
+        len(fingerprint) == 16,
+        f"fingerprint is not 16 hex digits: {fingerprint!r}",
+    )
+
+    session = Session([serve_bin])
+
+    loaded = session.call({"op": "load", "path": snap})
+    check(loaded.get("ok") is True, f"load failed: {loaded}")
+    check(
+        loaded.get("graph") == fingerprint,
+        f"server fingerprint {loaded.get('graph')} != tool {fingerprint}",
+    )
+
+    solve = {"op": "solve", "graph": fingerprint, "rhs_seed": 42}
+    cold = session.call(solve)
+    check(cold.get("ok") is True, f"cold solve failed: {cold}")
+    check(cold.get("cache_hit") is False, "first solve must be a miss")
+    check(cold.get("converged") is True, "cold solve did not converge")
+    check(cold["setup_seconds"] > 0.0, "cold solve reported zero setup")
+
+    warm = session.call(solve)
+    check(warm.get("ok") is True, f"warm solve failed: {warm}")
+    check(warm.get("cache_hit") is True, "second solve must be a hit")
+    check(
+        warm["setup_seconds"] <= 0.05 * cold["setup_seconds"],
+        f"warm setup {warm['setup_seconds']}s exceeds 5% of cold "
+        f"{cold['setup_seconds']}s",
+    )
+    check(
+        warm["solution_fnv"] == cold["solution_fnv"],
+        f"warm solution {warm['solution_fnv']} != cold "
+        f"{cold['solution_fnv']}: cache hit changed the bits",
+    )
+    check(warm["iterations"] == cold["iterations"], "iteration count drifted")
+
+    best_batch = best_sequential = float("inf")
+    for _ in range(TIMING_ROUNDS):
+        batch = session.call(
+            {
+                "op": "batch_solve",
+                "graph": fingerprint,
+                "rhs_random": {"count": LONE_BATCH_K, "seed": LONE_RHS_SEED},
+            }
+        )
+        check(batch.get("ok") is True, f"batch solve failed: {batch}")
+        check(all(batch["converged"]), "batched column failed to converge")
+        check(
+            len(batch["solution_fnv"]) == LONE_BATCH_K,
+            f"expected {LONE_BATCH_K} solution hashes, got {batch}",
+        )
+
+        sequential_seconds = 0.0
+        for j, column_fnv in enumerate(batch["solution_fnv"]):
+            single = session.call(
+                {
+                    "op": "solve",
+                    "graph": fingerprint,
+                    "rhs_seed": LONE_RHS_SEED + j,
+                }
+            )
+            check(single.get("ok") is True, f"sequential solve {j} failed")
+            check(
+                single["solution_fnv"] == column_fnv,
+                f"batched column {j} ({column_fnv}) is not bitwise equal to "
+                f"the sequential solve ({single['solution_fnv']})",
+            )
+            check(
+                single["iterations"] == batch["iterations"][j],
+                f"batched column {j} took {batch['iterations'][j]} "
+                f"iterations, sequential took {single['iterations']}",
+            )
+            sequential_seconds += single["solve_seconds"]
+        best_batch = min(best_batch, batch["solve_seconds"])
+        best_sequential = min(best_sequential, sequential_seconds)
+
+    ratio = best_batch / max(best_sequential, 1e-12)
+    print(
+        f"shard_smoke: lone server batch {LONE_BATCH_K} RHS "
+        f"{best_batch:.6f}s vs sequential {best_sequential:.6f}s (ratio "
+        f"{ratio:.2f}, best of {TIMING_ROUNDS} rounds each)"
+    )
+    if (os.cpu_count() or 1) > 1:
+        check(
+            best_batch < best_sequential,
+            f"batched solve ({best_batch}s) is not faster than "
+            f"{LONE_BATCH_K} sequential solves ({best_sequential}s)",
+        )
+    else:
+        print("shard_smoke: single-core runner; timing comparison reported "
+              "but not asserted")
+
+    shed = session.call(
+        {"op": "solve", "graph": fingerprint, "rhs_seed": 1, "deadline_ms": 0}
+    )
+    check(shed.get("ok") is False, "deadline_ms=0 request was not shed")
+    check(
+        shed.get("error") == "deadline_exceeded",
+        f"expected deadline_exceeded, got {shed}",
+    )
+
+    after = session.call(solve)
+    check(
+        after.get("ok") is True and after.get("cache_hit") is True,
+        "server stopped serving after a shed request",
+    )
+
+    stats = session.call({"op": "stats"})
+    check(stats.get("ok") is True, f"stats failed: {stats}")
+    check(stats["cache"]["misses"] == 1, f"expected 1 cold build: {stats}")
+    check(stats["cache"]["hits"] >= LONE_BATCH_K + 2, f"hit count low: {stats}")
+
+    done = session.call({"op": "shutdown"})
+    check(done.get("ok") is True, f"shutdown failed: {done}")
+    session.finish()
+    print("shard_smoke: lone server contract holds")
+
+
 def main():
     if len(sys.argv) < 4:
         print(__doc__, file=sys.stderr)
@@ -177,7 +323,8 @@ def main():
     run(tool_bin, "snapshot-convert", big_wel, big_snap)
     big_fp = run(tool_bin, "fingerprint", big_snap)
 
-    # ---- reference pass: lone worker ground truth --------------------------
+    # ---- lone-server pass: the single-server contract, then ground truth ---
+    lone_server_contract(serve_bin, tool_bin, work)
     lone = Session([serve_bin])
     truth_solve, truth_batch = {}, {}
     for snap, fp in zip(snaps + [big_snap], fingerprints + [big_fp]):
@@ -207,9 +354,6 @@ def main():
             "--workers", str(WORKERS),
             "--worker-bin", serve_bin,
             "--socket-dir", os.path.join(work, "sockets"),
-            "--hot-threshold", str(HOT_THRESHOLD),
-            "--hot-interval", str(HOT_INTERVAL),
-            "--replicate-top-k", "1",
         ]
     )
     os.makedirs(os.path.join(work, "sockets"), exist_ok=True)
@@ -218,8 +362,7 @@ def main():
     check(topo.get("ok") is True, f"topology failed: {topo}")
     check(topo["workers_total"] == WORKERS, f"expected {WORKERS} workers")
     check(
-        topo["ring"]["vnodes_per_worker"] >= 1
-        and topo["ring"]["hot_threshold"] == HOT_THRESHOLD,
+        topo["ring"]["vnodes_per_worker"] >= 1,
         f"ring parameters not reported: {topo}",
     )
     states = [w["state"] for w in topo["workers"]]
@@ -244,12 +387,6 @@ def main():
     )
     for fp, entry in placements.items():
         check(0 <= entry["primary"] < WORKERS, f"bad primary: {entry}")
-        check(
-            0 <= entry["replica"] < WORKERS
-            and entry["replica"] != entry["primary"],
-            f"bad replica: {entry}",
-        )
-        check(entry["replicated"] is False, "nothing should be hot yet")
 
     # ---- bitwise equality through the router ------------------------------
     for fp in fingerprints:
@@ -281,6 +418,33 @@ def main():
         "server's",
     )
     print("shard_smoke: routed solves bitwise-identical to lone server")
+
+    # ---- a shutdown whose id is not an id ---------------------------------
+    # -2 was once the router's internal stdin-EOF sentinel: this line made
+    # the router drain and exit without a word. An id must be an integer in
+    # [0, 2^53], so the line is a parse_error that echoes no id, and the
+    # deployment keeps serving.
+    refused = router.call_raw('{"id":-2,"op":"shutdown"}')
+    check(
+        refused.get("ok") is False
+        and refused.get("error") == "parse_error"
+        and "id" not in refused,
+        f"shutdown with id -2 was not refused with parse_error: {refused}",
+    )
+    topo_after = router.call({"op": "topology"})
+    check(
+        [w["state"] for w in topo_after["workers"]] == ["up"] * WORKERS,
+        f"workers not all up after the refused shutdown: {topo_after}",
+    )
+    still = router.call(
+        {"op": "solve", "graph": fingerprints[0], "rhs_seed": RHS_SEED}
+    )
+    check(
+        still.get("ok") is True
+        and still["solution_fnv"] == truth_solve[fingerprints[0]],
+        "router stopped serving after the refused shutdown",
+    )
+    print("shard_smoke: shutdown with id -2 refused; deployment still serving")
 
     # ---- backend-selected solves and the update decline path ---------------
     # The solve carries the contraction backend in its request line; the
@@ -385,30 +549,6 @@ def main():
     print(
         "shard_smoke: backend-selected solves bitwise-identical; louvain "
         "update declined to cold rebuild"
-    )
-
-    # ---- hot-set replication ----------------------------------------------
-    hot_fp = fingerprints[1]
-    for _ in range(HOT_THRESHOLD + HOT_INTERVAL + 2):
-        hammered = router.call(
-            {"op": "solve", "graph": hot_fp, "rhs_seed": RHS_SEED}
-        )
-        check(hammered.get("ok") is True, "hammered solve failed")
-        check(
-            hammered["solution_fnv"] == truth_solve[hot_fp],
-            "hammered solve changed the bits",
-        )
-    topo = router.call({"op": "topology"})
-    hot_entry = next(
-        g for g in topo["graphs"] if g["fingerprint"] == hot_fp
-    )
-    check(
-        hot_entry["replicated"] is True,
-        f"hot fingerprint was not replicated: {hot_entry}",
-    )
-    print(
-        f"shard_smoke: hot fingerprint {hot_fp} replicated to worker "
-        f"{hot_entry['replica']}"
     )
 
     # ---- dynamic updates through the router --------------------------------
@@ -576,18 +716,19 @@ def main():
     )
 
     # ---- aggregated stats --------------------------------------------------
-    # Re-warm the hammered fingerprint first: if its primary was the SIGKILL
-    # victim, the restart emptied that worker's cache (replay restores the
-    # load set, hierarchies rebuild on demand), so its per-entry row only
-    # reappears once it is solved again.
+    # Re-warm one fingerprint first: if its owner was the SIGKILL victim,
+    # the restart emptied that worker's cache (replay restores the load set,
+    # hierarchies rebuild on demand), so its per-entry row only reappears
+    # once it is solved again.
+    rewarm_fp = fingerprints[1]
     for _ in range(2):
         rewarm = router.call(
-            {"op": "solve", "graph": hot_fp, "rhs_seed": RHS_SEED}
+            {"op": "solve", "graph": rewarm_fp, "rhs_seed": RHS_SEED}
         )
         check(
             rewarm.get("ok") is True
-            and rewarm["solution_fnv"] == truth_solve[hot_fp],
-            "post-restart re-warm of the hot fingerprint drifted",
+            and rewarm["solution_fnv"] == truth_solve[rewarm_fp],
+            "post-restart re-warm drifted",
         )
     stats = router.call({"op": "stats"})
     check(stats.get("ok") is True, f"stats failed: {stats}")
@@ -599,18 +740,15 @@ def main():
     check(agg["cache"]["hits"] >= 1, "aggregate cache hits not counted")
     check(agg["graphs_loaded"] >= len(snaps), "aggregate graphs_loaded low")
     rt = stats["router"]
-    for field in ["requests", "routed", "retries", "restarts",
-                  "replica_promotions", "replications", "shed",
-                  "workers_up", "hot", "updates", "derived_graphs"]:
+    for field in ["requests", "routed", "retries", "restarts", "shed",
+                  "workers_up", "updates", "derived_graphs"]:
         check(field in rt, f"router stats missing {field}")
     check(rt["updates"] >= 2, "router did not count the updates")
     check(rt["derived_graphs"] >= 2, "router did not record derived "
           "fingerprints")
     check(rt["retries"] >= 1, "router did not count the retry")
     check(rt["restarts"] >= 1, "router did not count the restart")
-    check(rt["replications"] >= 1, "router did not count the replication")
     check(rt["workers_up"] == WORKERS, "not all workers up in stats")
-    check(hot_fp in rt["hot"], f"hot list missing {hot_fp}: {rt['hot']}")
     per_worker = stats["per_worker"]
     check(len(per_worker) == WORKERS, "per_worker breakdown wrong length")
     entries = []
@@ -620,11 +758,11 @@ def main():
         cache = row["stats"]["cache"]
         check("per_entry" in cache, "worker cache stats missing per_entry")
         entries.extend(cache["per_entry"])
-    hot_rows = [e for e in entries if e["fingerprint"] == hot_fp]
-    check(hot_rows, "hammered fingerprint absent from per-entry stats")
+    rewarm_rows = [e for e in entries if e["fingerprint"] == rewarm_fp]
+    check(rewarm_rows, "re-warmed fingerprint absent from per-entry stats")
     check(
-        sum(e["hits"] for e in hot_rows) >= 1,
-        f"hammered fingerprint shows no hits: {hot_rows}",
+        sum(e["hits"] for e in rewarm_rows) >= 1,
+        f"re-warmed fingerprint shows no hits: {rewarm_rows}",
     )
 
     # ---- SIGKILL mid-update: the retried update lands exactly once ---------
