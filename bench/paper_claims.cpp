@@ -590,7 +590,6 @@ void ablations(const Scale& s, Ledger& led) {
 
   // (c) Two-level vs multilevel quotient solve; (e) Steiner tree vs Steiner
   // graph; (f) gamma-guided refinement.
-  double cheb_over_jacobi = 0.0;
   double ml_over_two_ms = 0.0;
   double tree_over_graph = kInf;
   double gamma_gain = kInf;
@@ -601,14 +600,10 @@ void ablations(const Scale& s, Ledger& led) {
     const Decomposition p = section31(g);
     const LaminarHierarchy h = hierarchy(g);
     const SteinerPreconditioner two = SteinerPreconditioner::build(g, p);
-    const MultilevelSteinerSolver jac =
-        MultilevelSteinerSolver::build(h, {.smoother = SmootherKind::jacobi});
-    const MultilevelSteinerSolver cheb = MultilevelSteinerSolver::build(
-        h, {.smoother = SmootherKind::chebyshev, .chebyshev_degree = 2});
+    const MultilevelSteinerSolver jac = MultilevelSteinerSolver::build(h);
     const SteinerTreePreconditioner tree = SteinerTreePreconditioner::build(h);
     const LinearOperator two_op = two.as_operator();
     const LinearOperator jac_op = jac.as_operator();
-    const LinearOperator cheb_op = cheb.as_operator();
     const LinearOperator tree_op = tree.as_operator();
     Timer t_two;
     const double it_two = iterations(g, &two_op, false);
@@ -616,12 +611,10 @@ void ablations(const Scale& s, Ledger& led) {
     Timer t_jac;
     const double it_jac = iterations(g, &jac_op, true);
     ml_over_two_ms = t_jac.millis() / ms_two;
-    const double it_cheb = iterations(g, &cheb_op, true);
     const double it_tree = iterations(g, &tree_op, false);
-    cheb_over_jacobi = std::max(cheb_over_jacobi, it_cheb / it_jac);
     tree_over_graph = std::min(tree_over_graph, it_tree / it_two);
     series.insert(series.end(), {static_cast<double>(g.num_vertices()),
-                                 it_two, it_jac, it_cheb, it_tree});
+                                 it_two, it_jac, it_tree});
 
     const Decomposition refined =
         refine_decomposition(g, p, {.gamma_floor = 0.3}).decomposition;
@@ -632,13 +625,10 @@ void ablations(const Scale& s, Ledger& led) {
                                           cut_weight_fraction(g, p));
   }
   led.at_most("TAB-ABL-c",
-              "max multilevel Chebyshev / Jacobi PCG iterations",
-              cheb_over_jacobi, 1.0);
-  led.at_most("TAB-ABL-c",
               "multilevel Jacobi / two-level PCG ms at the largest n (wall "
               "clock)",
               ml_over_two_ms, 1.5, false);
-  led.series("TAB-ABL-ce.n_two_jacobi_chebyshev_tree_iters",
+  led.series("TAB-ABL-ce.n_two_jacobi_tree_iters",
              std::move(series));
 
   // (d) Definition 3.1's vol(u) leaf weights vs uniform leaves.

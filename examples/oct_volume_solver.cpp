@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
     std::printf(" %d", lv.graph.num_vertices());
   }
   std::printf(" %d\n", hierarchy.coarsest.num_vertices());
-  const MultilevelSteinerSolver ml =
-      MultilevelSteinerSolver::build(hierarchy, {.smoothing_steps = 1});
+  const MultilevelSteinerSolver ml = MultilevelSteinerSolver::build(hierarchy);
 
   // Two-level Steiner.
   const FixedDegreeResult fd =

@@ -22,7 +22,12 @@ EdgeKey edge_key(vidx u, vidx v) {
 }
 
 std::string edge_label(vidx u, vidx v) {
-  return "(" + std::to_string(u) + ", " + std::to_string(v) + ")";
+  std::string label = "(";
+  label += std::to_string(u);
+  label += ", ";
+  label += std::to_string(v);
+  label += ')';
+  return label;
 }
 
 /// Negative sentinel marking "deleted" in the per-edge final-state map;

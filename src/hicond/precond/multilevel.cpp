@@ -1,7 +1,5 @@
 #include "hicond/precond/multilevel.hpp"
 
-#include <algorithm>
-
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
@@ -10,20 +8,25 @@
 
 namespace hicond {
 
+namespace {
+
+/// Damped-Jacobi relaxation weight of both smoothing sweeps.
+constexpr double kJacobiWeight = 0.7;
+
+}  // namespace
+
 MultilevelSteinerSolver MultilevelSteinerSolver::build(
-    LaminarHierarchy hierarchy, const MultilevelOptions& options) {
-  return build_impl(std::move(hierarchy), options, nullptr);
+    LaminarHierarchy hierarchy, const MultilevelOptions& /*options*/) {
+  return build_impl(std::move(hierarchy), nullptr);
 }
 
 MultilevelSteinerSolver MultilevelSteinerSolver::build(
-    LaminarHierarchy hierarchy, const MultilevelOptions& options,
-    const MultilevelSteinerSolver& reuse) {
-  return build_impl(std::move(hierarchy), options, reuse.state_.get());
+    LaminarHierarchy hierarchy, const MultilevelSteinerSolver& reuse) {
+  return build_impl(std::move(hierarchy), reuse.state_.get());
 }
 
 MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
-    LaminarHierarchy hierarchy, const MultilevelOptions& options,
-    const State* reuse) {
+    LaminarHierarchy hierarchy, const State* reuse) {
   HICOND_CHECK(!hierarchy.levels.empty() ||
                    hierarchy.coarsest.num_vertices() > 0,
                "empty hierarchy");
@@ -31,7 +34,6 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   MultilevelSteinerSolver s;
   s.state_ = std::make_shared<State>();
   s.state_->hierarchy = std::move(hierarchy);
-  s.state_->options = options;
   for (const auto& level : s.state_->hierarchy.levels) {
     std::vector<double> inv(static_cast<std::size_t>(level.graph.num_vertices()));
     parallel_for(inv.size(), [&](std::size_t v) {
@@ -41,12 +43,6 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
     s.state_->inv_diag.push_back(std::move(inv));
     s.state_->restriction.push_back(ClusterIndex::build(
         level.decomposition.assignment, level.decomposition.num_clusters));
-    if (options.smoother == SmootherKind::chebyshev) {
-      s.state_->chebyshev.push_back(std::make_unique<ChebyshevSmoother>(
-          level.graph, options.chebyshev_degree));
-    } else {
-      s.state_->chebyshev.push_back(nullptr);
-    }
   }
   if (s.state_->hierarchy.coarsest.num_vertices() > 1) {
     // The factorization is a pure function of the coarsest graph, so when an
@@ -69,10 +65,9 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
 }
 
 /// Scratch of one operator: per level one n*k vector (the residual, then
-/// the prolonged iterate, and the other half of the Jacobi ping-pong) and
-/// the restricted residual and coarse correction (m*k each), plus the
-/// refinement residual and correction of cycles > 1 at level 0. Buffers grow
-/// to the widest k seen and are never assumed to hold zeros.
+/// the prolonged iterate) and the restricted residual and coarse correction
+/// (m*k each). Buffers grow to the widest k seen and are never assumed to
+/// hold zeros.
 struct MultilevelSteinerSolver::Workspace {
   struct Level {
     std::vector<double> fine;
@@ -80,8 +75,6 @@ struct MultilevelSteinerSolver::Workspace {
     std::vector<double> zc;
   };
   std::vector<Level> levels;
-  std::vector<double> refine_residual;
-  std::vector<double> refine_correction;
 };
 
 namespace {
@@ -125,54 +118,24 @@ void MultilevelSteinerSolver::cycle_block(int level,
   const auto& inv_diag = st.inv_diag[l];
   const auto& assignment = lv.decomposition.assignment;
   const auto m = static_cast<std::size_t>(lv.decomposition.num_clusters);
-  const double omega = st.options.jacobi_weight;
-  const int steps = st.options.smoothing_steps;
   Workspace::Level& scratch = ws.levels[l];
   const std::span<double> fine = take(scratch.fine, uk * n);
   const std::span<double> rc = take(scratch.rc, uk * m);
   const std::span<double> zc = take(scratch.zc, uk * m);
 
   // Every update runs per column in a fixed order, so column j's bits do
-  // not depend on the other columns or on k. The Jacobi path makes two
-  // SpMV passes per level (for one sweep each side): the pre-smoothing
-  // sweep from z = 0 needs none (A 0 is exactly +0), the residual and the
+  // not depend on the other columns or on k. Two SpMV passes per level: the
+  // pre-smoothing sweep from z = 0 needs none, the residual and the
   // post-smoothing sweep each fuse their elementwise update into the SpMV.
-  const ChebyshevSmoother* cheb = st.chebyshev[l].get();
-  const bool jacobi = cheb == nullptr && steps > 0;
-  // `count` fused sweeps from the iterate in `cur`, ping-ponging with
-  // `spare` (the sweep reads neighbours, so it cannot run in place); the
-  // result ends in z.
-  auto jacobi_sweeps = [&](std::span<double> cur, std::span<double> spare,
-                           int count) {
-    for (int s = 0; s < count; ++s) {
-      a.jacobi_sweep_block(cur, r, inv_diag, omega, spare, k);
-      std::swap(cur, spare);
-    }
-    if (cur.data() != z.data()) la::copy(cur, z);
-  };
-  auto chebyshev_sweeps = [&] {
-    if (cheb == nullptr) return;
-    for (int s = 0; s < steps; ++s) {
-      for (std::size_t j = 0; j < uk; ++j) {
-        cheb->smooth(r.subspan(j * n, n), z.subspan(j * n, n));
-      }
-    }
-  };
 
-  // Pre-smoothing from z = 0. The first Jacobi sweep is z + w D^-1 (r - A z)
-  // with z = 0 and A z = +0 written out, which keeps the sweep's bits.
-  if (jacobi) {
-    parallel_for(n, [&](std::size_t v) {
-      for (std::size_t j = 0; j < uk; ++j) {
-        const std::size_t i = j * n + v;
-        z[i] = 0.0 + omega * inv_diag[v] * (r[i] - 0.0);
-      }
-    });
-    jacobi_sweeps(z, fine, steps - 1);
-  } else {
-    la::fill(z, 0.0);
-    chebyshev_sweeps();
-  }
+  // Pre-smoothing from z = 0: the sweep z + w D^-1 (r - A z) with z = 0 and
+  // A z = +0 written out, which keeps the sweep's bits.
+  parallel_for(n, [&](std::size_t v) {
+    for (std::size_t j = 0; j < uk; ++j) {
+      const std::size_t i = j * n + v;
+      z[i] = 0.0 + kJacobiWeight * inv_diag[v] * (r[i] - 0.0);
+    }
+  });
   // Coarse correction on the residual. The restriction is parallel over
   // clusters (owner-computes; see ClusterIndex).
   a.laplacian_residual_block(z, r, fine, k);
@@ -181,20 +144,16 @@ void MultilevelSteinerSolver::cycle_block(int level,
                                    rc.subspan(j * m, m));
   }
   cycle_block(level + 1, rc, zc, k, ws);
-  // Prolongation, then post-smoothing (symmetric to the pre-smoothing). The
-  // Jacobi path prolongs into `fine` so its first sweep lands back in z.
-  const std::span<double> prolonged = jacobi ? fine : z;
+  // Prolongation into `fine`, then the post-smoothing sweep (symmetric to
+  // the pre-smoothing) reads it and writes z; the sweep reads neighbours,
+  // so it cannot run in place.
   parallel_for(n, [&](std::size_t v) {
     const auto c = static_cast<std::size_t>(assignment[v]);
     for (std::size_t j = 0; j < uk; ++j) {
-      prolonged[j * n + v] = z[j * n + v] + zc[j * m + c];
+      fine[j * n + v] = z[j * n + v] + zc[j * m + c];
     }
   });
-  if (jacobi) {
-    jacobi_sweeps(fine, z, steps);
-  } else {
-    chebyshev_sweeps();
-  }
+  a.jacobi_sweep_block(fine, r, inv_diag, kJacobiWeight, z, k);
 }
 
 void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
@@ -232,19 +191,7 @@ void MultilevelSteinerSolver::apply_block(std::span<const double> r,
     return;
   }
   ws.levels.resize(static_cast<std::size_t>(st.hierarchy.num_levels()));
-  // First cycle from zero initial guess.
   cycle_block(0, r, z, k, ws);
-  // Additional cycles refine on the residual.
-  if (st.options.cycles > 1) {
-    const Graph& a = st.hierarchy.levels.front().graph;
-    const std::span<double> residual = take(ws.refine_residual, r.size());
-    const std::span<double> correction = take(ws.refine_correction, r.size());
-    for (int c = 1; c < st.options.cycles; ++c) {
-      a.laplacian_residual_block(z, r, residual, k);
-      cycle_block(0, residual, correction, k, ws);
-      la::axpy(1.0, correction, z);
-    }
-  }
   const auto uk = static_cast<std::size_t>(k);
   const std::size_t n = r.size() / uk;
   for (std::size_t j = 0; j < uk; ++j) la::remove_mean(z.subspan(j * n, n));

@@ -12,25 +12,16 @@
 
 #include "hicond/la/cg.hpp"
 #include "hicond/la/cg_block.hpp"
-#include "hicond/la/chebyshev.hpp"
 #include "hicond/la/sparse_cholesky.hpp"
 #include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/hierarchy.hpp"
 
 namespace hicond {
 
-enum class SmootherKind {
-  jacobi,     ///< damped Jacobi sweeps
-  chebyshev,  ///< Chebyshev semi-iteration over the upper band of D^-1 A
-};
-
-struct MultilevelOptions {
-  SmootherKind smoother = SmootherKind::jacobi;
-  int smoothing_steps = 1;     ///< pre- and post- smoother sweeps per level
-  double jacobi_weight = 0.7;  ///< damped-Jacobi relaxation weight
-  int chebyshev_degree = 3;    ///< matrix applications per Chebyshev sweep
-  int cycles = 1;              ///< V-cycles per application (2 = W-like)
-};
+/// Carries no settings: the cycle is fixed (see MultilevelSteinerSolver).
+/// It stays, with LaplacianSolverOptions::multilevel, only because
+/// benchmark/src/library_ledger.cpp passes `opt.multilevel` to build().
+struct MultilevelOptions {};
 
 /// Accumulated per-level V-cycle time attribution (see cycle_stats()).
 struct LevelCycleStats {
@@ -41,12 +32,12 @@ struct LevelCycleStats {
 /// Symmetric multilevel cycle built on a LaminarHierarchy; the coarsest
 /// level is solved exactly with sparse LDL'.
 ///
-/// With one damped-Jacobi sweep per side (the default) each level of a
-/// V-cycle makes two SpMV passes: the pre-smoothing sweep starts from z = 0
-/// and needs none, and the residual r - A z and the post-smoothing sweep
-/// each fuse their elementwise update into the SpMV (Graph::
-/// laplacian_residual_block, Graph::jacobi_sweep_block). The bits are those
-/// of the unfused cycle.
+/// One damped-Jacobi sweep (omega = 0.7) per side, one V-cycle per
+/// application. Each level makes two SpMV passes: the pre-smoothing sweep
+/// starts from z = 0 and needs none, and the residual r - A z and the
+/// post-smoothing sweep each fuse their elementwise update into the SpMV
+/// (Graph::laplacian_residual_block, Graph::jacobi_sweep_block). The bits
+/// are those of the unfused cycle.
 ///
 /// The cycle's vectors live in a workspace. An operator from as_operator()
 /// or as_block_operator() owns one: it grows on the first application and
@@ -57,7 +48,7 @@ struct LevelCycleStats {
 class MultilevelSteinerSolver {
  public:
   [[nodiscard]] static MultilevelSteinerSolver build(
-      LaminarHierarchy hierarchy, const MultilevelOptions& options = {});
+      LaminarHierarchy hierarchy, const MultilevelOptions& /*options*/ = {});
 
   /// Build over `hierarchy`, reusing state from `reuse` where it provably
   /// carries over: when the coarsest graphs are bitwise identical the
@@ -67,20 +58,18 @@ class MultilevelSteinerSolver {
   /// preserved (RepairResult::upper_rebuilt == false) keeps the old coarsest
   /// graph, so the factorization transfers. The result is bitwise identical
   /// to a from-scratch build (the factorization is a pure function of the
-  /// coarsest graph). Per-level smoother state is rebuilt (smoothers hold
-  /// pointers into their own hierarchy and must not alias another's).
+  /// coarsest graph).
   [[nodiscard]] static MultilevelSteinerSolver build(
-      LaminarHierarchy hierarchy, const MultilevelOptions& options,
-      const MultilevelSteinerSolver& reuse);
+      LaminarHierarchy hierarchy, const MultilevelSteinerSolver& reuse);
 
   /// z = M^{-1} r: apply_block with k = 1.
   void apply(std::span<const double> r, std::span<double> z) const;
 
   /// Z = M^{-1} R for k residuals stored column-major (column j occupies
-  /// [j*n, (j+1)*n)): one or more symmetric V-cycles starting from Z = 0.
+  /// [j*n, (j+1)*n)): one symmetric V-cycle starting from Z = 0.
   /// One hierarchy traversal serves all k columns: each level's graph,
-  /// inverse diagonal and restriction index are walked once per cycle
-  /// instead of once per RHS, with the SpMVs blocked through Graph's block
+  /// inverse diagonal and restriction index are walked once instead of
+  /// once per RHS, with the SpMVs blocked through Graph's block
   /// kernels. Every update is per column in a fixed order, so column j does
   /// not depend on the other columns or on k.
   void apply_block(std::span<const double> r, std::span<double> z,
@@ -114,11 +103,9 @@ class MultilevelSteinerSolver {
  private:
   struct State {
     LaminarHierarchy hierarchy;
-    MultilevelOptions options;
     std::vector<std::vector<double>> inv_diag;  ///< per level
     /// Per-level cluster-major index driving the parallel restriction.
     std::vector<ClusterIndex> restriction;
-    std::vector<std::unique_ptr<ChebyshevSmoother>> chebyshev;  ///< per level
     /// Shared so a rebuilt solver with an identical coarsest graph (the
     /// dynamic-repair path) can alias the factorization instead of
     /// refactoring; LaplacianDirectSolver is immutable after construction.
@@ -127,8 +114,7 @@ class MultilevelSteinerSolver {
   };
 
   [[nodiscard]] static MultilevelSteinerSolver build_impl(
-      LaminarHierarchy hierarchy, const MultilevelOptions& options,
-      const State* reuse);
+      LaminarHierarchy hierarchy, const State* reuse);
 
   /// Per-operator scratch (defined in multilevel.cpp).
   struct Workspace;

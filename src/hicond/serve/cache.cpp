@@ -51,12 +51,6 @@ std::string solver_options_key(const LaplacianSolverOptions& options) {
   append_int(key, "h.refine", h.refine ? 1 : 0);
   append_double(key, "r.gamma_floor", h.refinement.gamma_floor);
   append_int(key, "r.max_rounds", h.refinement.max_rounds);
-  const MultilevelOptions& ml = options.multilevel;
-  append_int(key, "ml.smoother", static_cast<long long>(ml.smoother));
-  append_int(key, "ml.smoothing_steps", ml.smoothing_steps);
-  append_double(key, "ml.jacobi_weight", ml.jacobi_weight);
-  append_int(key, "ml.chebyshev_degree", ml.chebyshev_degree);
-  append_int(key, "ml.cycles", ml.cycles);
   append_double(key, "rel_tolerance", options.rel_tolerance);
   append_int(key, "max_iterations", options.max_iterations);
   return key;

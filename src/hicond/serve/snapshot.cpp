@@ -6,7 +6,9 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hicond/graph/io.hpp"
@@ -295,8 +297,9 @@ void write_snapshot_file(const std::string& path, const Graph& g) {
 }
 
 Graph read_snapshot(std::istream& in) {
-  std::string bytes(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>{});
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string bytes = std::move(buffer).str();
   obs::MetricsRegistry::global().counter_add("serve.snapshot.reads");
   return decode_snapshot(
       reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());

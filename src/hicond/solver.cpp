@@ -19,7 +19,7 @@ LaplacianSolver::LaplacianSolver(Graph g,
                "LaplacianSolver requires a connected graph");
   solver_ = std::make_shared<MultilevelSteinerSolver>(
       MultilevelSteinerSolver::build(
-          build_hierarchy(*graph_, options.hierarchy), options.multilevel));
+          build_hierarchy(*graph_, options.hierarchy)));
   setup_seconds_ = setup_timer.seconds();
 }
 
@@ -38,10 +38,8 @@ LaplacianSolver::LaplacianSolver(Graph g, LaminarHierarchy hierarchy,
                "LaplacianSolver requires a connected graph");
   solver_ = std::make_shared<MultilevelSteinerSolver>(
       reuse != nullptr
-          ? MultilevelSteinerSolver::build(std::move(hierarchy),
-                                           options.multilevel, *reuse)
-          : MultilevelSteinerSolver::build(std::move(hierarchy),
-                                           options.multilevel));
+          ? MultilevelSteinerSolver::build(std::move(hierarchy), *reuse)
+          : MultilevelSteinerSolver::build(std::move(hierarchy)));
   setup_seconds_ = setup_timer.seconds();
 }
 

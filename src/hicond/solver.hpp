@@ -23,7 +23,7 @@ namespace hicond {
 
 struct LaplacianSolverOptions {
   HierarchyOptions hierarchy{};
-  MultilevelOptions multilevel{};
+  MultilevelOptions multilevel{};  ///< empty; see MultilevelOptions
   double rel_tolerance = 1e-8;
   int max_iterations = 10000;
 };

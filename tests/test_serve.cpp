@@ -228,8 +228,8 @@ TEST(ServeCache, PerEntryStatsTrackHitsAndRecency) {
 
 TEST(ServeBatch, BatchedMatchesSequentialBitwiseAcrossThreadCounts) {
   // test_graph() is solved directly at its coarsest level; the 32x32 grid
-  // builds a two-level hierarchy, so its solves run the smoothers, the
-  // restriction and the recursion of the V-cycle.
+  // builds a two-level hierarchy, so its solves run the smoothing sweeps,
+  // the restriction and the recursion of the V-cycle.
   const Graph multilevel_graph =
       gen::grid2d(32, 32, gen::WeightSpec::uniform(0.5, 2.0), 5);
   ASSERT_GE(LaplacianSolver(multilevel_graph).num_levels(), 2);
@@ -255,59 +255,46 @@ TEST(ServeBatch, BatchedMatchesSequentialBitwiseAcrossThreadCounts) {
     g.laplacian_apply(lx0, early);
     rhs.push_back(std::move(early));
 
-    for (const SmootherKind smoother :
-         {SmootherKind::jacobi, SmootherKind::chebyshev}) {
-      for (const int cycles : {1, 2}) {
-        LaplacianSolverOptions options;
-        options.multilevel.smoother = smoother;
-        options.multilevel.cycles = cycles;
-        SCOPED_TRACE(testing::Message()
-                     << "n=" << n << " smoother=" << static_cast<int>(smoother)
-                     << " cycles=" << cycles);
-        std::vector<std::uint64_t> reference_hashes;
-        for (const int threads : kThreadMatrix) {
-          with_thread_count(threads, [&] {
-            const LaplacianSolver solver(g, options);
-            // Sequential baseline: independent single-vector solves.
-            std::vector<std::vector<double>> x_seq;
-            std::vector<SolveStats> s_seq;
-            for (const auto& b : rhs) {
-              std::vector<double> x(n, 0.0);
-              s_seq.push_back(solver.solve(b, x));
-              x_seq.push_back(std::move(x));
-            }
-            EXPECT_EQ(s_seq[zero_col].iterations, 0);
-            if (solver.num_levels() > 0) {
-              for (std::size_t j = 0; j < kRandom; ++j) {
-                EXPECT_LT(s_seq[early_col].iterations, s_seq[j].iterations)
-                    << "rhs " << j;
-              }
-            }
-            const serve::BatchSolveResult batch =
-                serve::batch_solve(solver, rhs);
-            ASSERT_EQ(batch.x.size(), rhs.size());
-            for (std::size_t j = 0; j < rhs.size(); ++j) {
-              EXPECT_TRUE(batch.stats[j].converged) << "rhs " << j;
-              EXPECT_EQ(batch.stats[j].iterations, s_seq[j].iterations)
-                  << "rhs " << j;
-              EXPECT_EQ(batch.x[j], x_seq[j]) << "rhs " << j
-                                              << " not bitwise";
-              EXPECT_EQ(batch.solution_hash[j],
-                        serve::solution_fingerprint(x_seq[j]));
-              EXPECT_EQ(batch.stats[j].residual_history,
-                        s_seq[j].residual_history)
-                  << "rhs " << j;
-            }
-            if (reference_hashes.empty()) {
-              reference_hashes = batch.solution_hash;
-            } else {
-              // Thread-count invariance on top of batch/sequential equality.
-              EXPECT_EQ(batch.solution_hash, reference_hashes)
-                  << "threads=" << threads;
-            }
-          });
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    std::vector<std::uint64_t> reference_hashes;
+    for (const int threads : kThreadMatrix) {
+      with_thread_count(threads, [&] {
+        const LaplacianSolver solver(g);
+        // Sequential baseline: independent single-vector solves.
+        std::vector<std::vector<double>> x_seq;
+        std::vector<SolveStats> s_seq;
+        for (const auto& b : rhs) {
+          std::vector<double> x(n, 0.0);
+          s_seq.push_back(solver.solve(b, x));
+          x_seq.push_back(std::move(x));
         }
-      }
+        EXPECT_EQ(s_seq[zero_col].iterations, 0);
+        if (solver.num_levels() > 0) {
+          for (std::size_t j = 0; j < kRandom; ++j) {
+            EXPECT_LT(s_seq[early_col].iterations, s_seq[j].iterations)
+                << "rhs " << j;
+          }
+        }
+        const serve::BatchSolveResult batch = serve::batch_solve(solver, rhs);
+        ASSERT_EQ(batch.x.size(), rhs.size());
+        for (std::size_t j = 0; j < rhs.size(); ++j) {
+          EXPECT_TRUE(batch.stats[j].converged) << "rhs " << j;
+          EXPECT_EQ(batch.stats[j].iterations, s_seq[j].iterations)
+              << "rhs " << j;
+          EXPECT_EQ(batch.x[j], x_seq[j]) << "rhs " << j << " not bitwise";
+          EXPECT_EQ(batch.solution_hash[j],
+                    serve::solution_fingerprint(x_seq[j]));
+          EXPECT_EQ(batch.stats[j].residual_history, s_seq[j].residual_history)
+              << "rhs " << j;
+        }
+        if (reference_hashes.empty()) {
+          reference_hashes = batch.solution_hash;
+        } else {
+          // Thread-count invariance on top of batch/sequential equality.
+          EXPECT_EQ(batch.solution_hash, reference_hashes)
+              << "threads=" << threads;
+        }
+      });
     }
   }
 }
