@@ -460,6 +460,7 @@ void theorem41(Ledger& led) {
 
 void hierarchy_scaling(const Scale& s, Ledger& led) {
   std::vector<double> two_level;
+  std::vector<double> multilevel;
   std::vector<double> ms_per_vertex;
   std::vector<double> series;
   for (vidx side : s.hier_sides) {
@@ -473,6 +474,7 @@ void hierarchy_scaling(const Scale& s, Ledger& led) {
     Timer t;
     const int it_ml = iterations(g, &ml_op, true);
     const double ms = t.millis();
+    multilevel.push_back(it_ml);
     ms_per_vertex.push_back(ms / g.num_vertices());
     two_level.push_back(iterations(g, &two_op, false));
     series.insert(series.end(),
@@ -485,6 +487,9 @@ void hierarchy_scaling(const Scale& s, Ledger& led) {
               "two-level Steiner PCG iterations, largest n / smallest n "
               "(flat)",
               two_level.back() / two_level.front(), 1.5);
+  led.at_most("TAB-HIER",
+              "multilevel PCG iterations, largest n / smallest n (flat)",
+              multilevel.back() / multilevel.front(), 1.5);
   led.at_most("TAB-HIER",
               "multilevel PCG ms per vertex, largest n / smallest n (wall "
               "clock)",

@@ -32,7 +32,8 @@
 //   --trace out.json   record scoped spans, write a Chrome trace-event file
 //                      (open in Perfetto or chrome://tracing)
 //   --report           solve only: print the structured SolverReport
-//                      (per-level hierarchy + timing breakdown)
+//                      (per-level hierarchy, timing breakdown and
+//                      coarse-correction steps)
 //   --json             emit machine-readable JSON instead of text where
 //                      supported (decompose stats, solve report, certificate)
 //   --certify          decompose only: re-check the decomposition with the

@@ -150,25 +150,32 @@ class Graph {
   /// the same order whatever k is, so column j of Y does not depend on the
   /// other columns or on the block width.
   ///
-  /// The two methods below are the same CSR pass with a different store
-  /// once a vertex's (A_G X)[v] is complete: their results are bitwise
-  /// equal to laplacian_apply_block followed by the elementwise update,
-  /// without the intermediate block or the second pass over it. In all
-  /// three, Y must not overlap X.
+  /// The two methods below are the same CSR pass, each fused with more
+  /// work; their results are bitwise equal to the unfused steps they
+  /// describe. In all three, Y must not overlap the inputs.
   void laplacian_apply_block(std::span<const double> x, std::span<double> y,
                              int k) const;
 
-  /// Y = R - A_G X: the residual of the block system A_G X = R. R may be Y.
-  void laplacian_residual_block(std::span<const double> x,
-                                std::span<const double> r, std::span<double> y,
-                                int k) const;
+  /// Y = R - A_G (S R) with S = diag(scale), one entry per vertex serving
+  /// every column: the residual of the block system A_G X = R at the
+  /// iterate X = S R (a damped-Jacobi sweep from X = 0 when scale is
+  /// omega D^-1). X is read entry by entry as scale[v] * R[v] and never
+  /// stored.
+  void laplacian_scaled_residual_block(std::span<const double> scale,
+                                       std::span<const double> r,
+                                       std::span<double> y, int k) const;
 
-  /// Y = X + (omega * inv_diag) * (R - A_G X): one damped-Jacobi sweep on
-  /// A_G X = R from X, written to a separate Y. `inv_diag` has one entry per
-  /// vertex (0 leaves that vertex's X unchanged) and serves every column.
-  void jacobi_sweep_block(std::span<const double> x, std::span<const double> r,
-                          std::span<const double> inv_diag, double omega,
-                          std::span<double> y, int k) const;
+  /// Y = A_G E for the prolonged block E = P Xc, E[v] = Xc[assignment[v]]
+  /// in every column, where Xc has one row per cluster (column stride
+  /// xc.size() / k) and every assignment entry indexes one. E is read
+  /// through the assignment and never stored. Also writes energy[j] =
+  /// <E_j, Y_j> = E_j' A_G E_j, bitwise la::dot of the stored E_j and Y_j
+  /// at every thread count: the rows run in kReductionBlock blocks whose
+  /// partials are combined in block order.
+  void laplacian_apply_prolonged_block(std::span<const vidx> assignment,
+                                       std::span<const double> xc,
+                                       std::span<double> y,
+                                       std::span<double> energy, int k) const;
 
   /// Quadratic form x' A_G x = sum over edges of w(u,v) (x_u - x_v)^2.
   [[nodiscard]] double laplacian_quadratic(std::span<const double> x) const;

@@ -57,6 +57,9 @@ void append_level_json(JsonWriter& w, const LevelReport& lv) {
   w.kv("cycle_calls", lv.cycle_calls);
   w.kv("cycle_seconds", lv.cycle_seconds);
   w.kv("cycle_seconds_exclusive", lv.cycle_seconds_exclusive);
+  w.kv("step_mean", lv.step_mean);
+  w.kv("step_min", lv.step_min);
+  w.kv("step_fallbacks", lv.step_fallbacks);
   w.end_object();
 }
 
@@ -102,6 +105,9 @@ SolverReport make_solver_report(const MultilevelSteinerSolver& solver,
     lv.cycle_seconds = inclusive.seconds;
     lv.cycle_seconds_exclusive =
         std::max(0.0, inclusive.seconds - child.seconds);
+    lv.step_mean = inclusive.step_mean();
+    lv.step_min = inclusive.step_min;
+    lv.step_fallbacks = inclusive.step_fallbacks;
     report.levels.push_back(std::move(lv));
   }
   report.coarsest_calls = cycle.back().calls;
@@ -152,13 +158,15 @@ std::string SolverReport::to_text() const {
        coarsest_vertices, operator_complexity);
   line("setup %s, %d solve(s) in %s", format_duration(setup_seconds).c_str(),
        solves, format_duration(solve_seconds).c_str());
-  line("%-5s %10s %10s %7s %8s %8s %8s %10s %12s", "level", "vertices",
-       "clusters", "rho", "phi_min", "phi_p50", "cut", "build", "vcycle(ex)");
+  line("%-5s %10s %10s %7s %8s %8s %8s %10s %12s %9s %9s %9s", "level",
+       "vertices", "clusters", "rho", "phi_min", "phi_p50", "cut", "build",
+       "vcycle(ex)", "step_mean", "step_min", "fallbacks");
   for (const LevelReport& lv : levels) {
-    line("%-5d %10d %10d %7.2f %8.4f %8.4f %8.4f %10s %12s", lv.level,
-         lv.vertices, lv.clusters, lv.reduction, lv.phi_min, lv.phi_p50,
-         lv.cut_fraction, format_duration(lv.build_seconds).c_str(),
-         format_duration(lv.cycle_seconds_exclusive).c_str());
+    line("%-5d %10d %10d %7.2f %8.4f %8.4f %8.4f %10s %12s %9.4f %9.4f %9lld",
+         lv.level, lv.vertices, lv.clusters, lv.reduction, lv.phi_min,
+         lv.phi_p50, lv.cut_fraction, format_duration(lv.build_seconds).c_str(),
+         format_duration(lv.cycle_seconds_exclusive).c_str(), lv.step_mean,
+         lv.step_min, static_cast<long long>(lv.step_fallbacks));
   }
   line("coarse %9d %10s %7s %8s %8s %8s %10s %12s", coarsest_vertices, "-",
        "-", "-", "-", "-", "-", format_duration(coarsest_seconds).c_str());

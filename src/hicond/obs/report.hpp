@@ -49,6 +49,12 @@ struct LevelReport {
   std::int64_t cycle_calls = 0;
   double cycle_seconds = 0.0;            ///< inclusive of coarser levels
   double cycle_seconds_exclusive = 0.0;  ///< this level only
+
+  // Energy-optimal steps of this level's coarse corrections (one per
+  // column per apply so far); step_mean and step_min are 0 before any.
+  double step_mean = 0.0;
+  double step_min = 0.0;
+  std::int64_t step_fallbacks = 0;  ///< steps set to 1 (a dot not > 0)
 };
 
 struct SolverReport {

@@ -1,5 +1,7 @@
 #include "hicond/precond/multilevel.hpp"
 
+#include <cmath>
+
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
@@ -35,12 +37,13 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   s.state_ = std::make_shared<State>();
   s.state_->hierarchy = std::move(hierarchy);
   for (const auto& level : s.state_->hierarchy.levels) {
-    std::vector<double> inv(static_cast<std::size_t>(level.graph.num_vertices()));
-    parallel_for(inv.size(), [&](std::size_t v) {
+    std::vector<double> damping(
+        static_cast<std::size_t>(level.graph.num_vertices()));
+    parallel_for(damping.size(), [&](std::size_t v) {
       const double vol = level.graph.vol(static_cast<vidx>(v));
-      inv[v] = vol > 0.0 ? 1.0 / vol : 0.0;
+      damping[v] = kJacobiWeight * (vol > 0.0 ? 1.0 / vol : 0.0);
     });
-    s.state_->inv_diag.push_back(std::move(inv));
+    s.state_->damping.push_back(std::move(damping));
     s.state_->restriction.push_back(ClusterIndex::build(
         level.decomposition.assignment, level.decomposition.num_clusters));
   }
@@ -64,15 +67,16 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   return s;
 }
 
-/// Scratch of one operator: per level one n*k vector (the residual, then
-/// the prolonged iterate) and the restricted residual and coarse correction
-/// (m*k each). Buffers grow to the widest k seen and are never assumed to
-/// hold zeros.
+/// Scratch of one operator: per level one n*k vector (the residual after
+/// pre-smoothing), the restricted residual and the coarse correction (m*k
+/// each), and the step of each column's coarse correction (k). Buffers
+/// grow to the widest k seen and are never assumed to hold zeros.
 struct MultilevelSteinerSolver::Workspace {
   struct Level {
     std::vector<double> fine;
     std::vector<double> rc;
     std::vector<double> zc;
+    std::vector<double> step;
   };
   std::vector<Level> levels;
 };
@@ -83,6 +87,26 @@ namespace {
 std::span<double> take(std::vector<double>& buf, std::size_t size) {
   if (buf.size() < size) buf.resize(size);
   return {buf.data(), size};
+}
+
+/// The step that minimizes the A-norm error of z0 + step * e, where e = P zc
+/// prolongs the coarse correction zc of the restricted residual rc:
+/// <e, s> / <e, A e> with rc = P' s, which is `gain` = <zc, rc> over
+/// `energy` = <e, A e>. Falls back to 1, and counts it, when either dot is
+/// not a finite positive number.
+double energy_optimal_step(double gain, double energy,
+                           LevelCycleStats& stats) {
+  double step = 1.0;
+  if (std::isfinite(gain) && std::isfinite(energy) && gain > 0.0 &&
+      energy > 0.0 && std::isfinite(gain / energy)) {
+    step = gain / energy;
+  } else {
+    ++stats.step_fallbacks;
+  }
+  stats.step_min = stats.steps == 0 ? step : std::min(stats.step_min, step);
+  stats.step_sum += step;
+  ++stats.steps;
+  return step;
 }
 
 }  // namespace
@@ -115,45 +139,49 @@ void MultilevelSteinerSolver::cycle_block(int level,
   const HierarchyLevel& lv = st.hierarchy.levels[l];
   const Graph& a = lv.graph;
   const auto n = static_cast<std::size_t>(a.num_vertices());
-  const auto& inv_diag = st.inv_diag[l];
+  const auto& damping = st.damping[l];
   const auto& assignment = lv.decomposition.assignment;
   const auto m = static_cast<std::size_t>(lv.decomposition.num_clusters);
   Workspace::Level& scratch = ws.levels[l];
   const std::span<double> fine = take(scratch.fine, uk * n);
   const std::span<double> rc = take(scratch.rc, uk * m);
   const std::span<double> zc = take(scratch.zc, uk * m);
+  const std::span<double> step = take(scratch.step, uk);
 
   // Every update runs per column in a fixed order, so column j's bits do
-  // not depend on the other columns or on k. Two SpMV passes per level: the
-  // pre-smoothing sweep from z = 0 needs none, the residual and the
-  // post-smoothing sweep each fuse their elementwise update into the SpMV.
+  // not depend on the other columns or on k. Two SpMV passes per level:
+  // the residual after pre-smoothing, and A e for the prolonged coarse
+  // correction e, which also yields the energy <e, A e>.
 
-  // Pre-smoothing from z = 0: the sweep z + w D^-1 (r - A z) with z = 0 and
-  // A z = +0 written out, which keeps the sweep's bits.
-  parallel_for(n, [&](std::size_t v) {
-    for (std::size_t j = 0; j < uk; ++j) {
-      const std::size_t i = j * n + v;
-      z[i] = 0.0 + kJacobiWeight * inv_diag[v] * (r[i] - 0.0);
-    }
-  });
-  // Coarse correction on the residual. The restriction is parallel over
-  // clusters (owner-computes; see ClusterIndex).
-  a.laplacian_residual_block(z, r, fine, k);
+  // Pre-smoothing from z = 0 gives z0 = w D^-1 r, which the residual
+  // s = r - A z0 reads entry by entry; s goes into `fine` and is restricted
+  // by cluster sums (owner-computes over clusters; see ClusterIndex).
+  a.laplacian_scaled_residual_block(damping, r, fine, k);
   for (std::size_t j = 0; j < uk; ++j) {
     st.restriction[l].restrict_sum(fine.subspan(j * n, n),
                                    rc.subspan(j * m, m));
   }
   cycle_block(level + 1, rc, zc, k, ws);
-  // Prolongation into `fine`, then the post-smoothing sweep (symmetric to
-  // the pre-smoothing) reads it and writes z; the sweep reads neighbours,
-  // so it cannot run in place.
+  // u = A e into z, with the energy <e, u> into `step`, which then becomes
+  // the step.
+  a.laplacian_apply_prolonged_block(assignment, zc, z, step, k);
+  for (std::size_t j = 0; j < uk; ++j) {
+    step[j] = energy_optimal_step(
+        la::dot(zc.subspan(j * m, m), rc.subspan(j * m, m)), step[j],
+        attribution);
+  }
+  // Post-smoothing from x = z0 + step e. By linearity A x = (r - s) + step
+  // u, so the sweep x + w D^-1 (r - A x) = x + w D^-1 (s - step u) needs no
+  // further SpMV; it overwrites u in place.
   parallel_for(n, [&](std::size_t v) {
+    const double d = damping[v];
     const auto c = static_cast<std::size_t>(assignment[v]);
     for (std::size_t j = 0; j < uk; ++j) {
-      fine[j * n + v] = z[j * n + v] + zc[j * m + c];
+      const std::size_t i = j * n + v;
+      const double x = d * r[i] + step[j] * zc[j * m + c];
+      z[i] = x + d * (fine[i] - step[j] * z[i]);
     }
   });
-  a.jacobi_sweep_block(fine, r, inv_diag, kJacobiWeight, z, k);
 }
 
 void MultilevelSteinerSolver::coarsest_solve(std::span<const double> r,
@@ -192,9 +220,6 @@ void MultilevelSteinerSolver::apply_block(std::span<const double> r,
   }
   ws.levels.resize(static_cast<std::size_t>(st.hierarchy.num_levels()));
   cycle_block(0, r, z, k, ws);
-  const auto uk = static_cast<std::size_t>(k);
-  const std::size_t n = r.size() / uk;
-  for (std::size_t j = 0; j < uk; ++j) la::remove_mean(z.subspan(j * n, n));
 }
 
 void MultilevelSteinerSolver::apply(std::span<const double> r,

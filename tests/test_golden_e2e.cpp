@@ -72,7 +72,7 @@ TEST(GoldenE2E, Grid2dPipeline) {
   EXPECT_EQ(out.clusters_l0, 125);  // 400 vertices / ~3.2 per cluster
   EXPECT_EQ(out.levels, 2);
   EXPECT_NEAR(out.op_complexity, 1.405, 1e-9);
-  EXPECT_EQ(out.iterations, 22);
+  EXPECT_EQ(out.iterations, 20);
 }
 
 TEST(GoldenE2E, Grid3dPipeline) {
@@ -82,7 +82,7 @@ TEST(GoldenE2E, Grid3dPipeline) {
   EXPECT_EQ(out.clusters_l0, 157);
   EXPECT_EQ(out.levels, 2);
   EXPECT_NEAR(out.op_complexity, 1.388671875, 1e-9);
-  EXPECT_EQ(out.iterations, 19);
+  EXPECT_EQ(out.iterations, 18);
 }
 
 TEST(GoldenE2E, RandomTreePipeline) {

@@ -1,6 +1,7 @@
 #include "hicond/graph/graph.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstring>
 #include <memory>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "hicond/graph/generators.hpp"
+#include "hicond/la/vector_ops.hpp"
 #include "hicond/util/rng.hpp"
 
 namespace hicond {
@@ -253,64 +255,113 @@ TEST(GraphSharedStorage, CopiesReadConcurrentlyFromFourThreads) {
 }
 
 TEST(GraphBlockKernels, FusedFormsMatchSpmvThenElementwise) {
-  // A weighted grid plus one isolated vertex, whose inverse diagonal is 0.
+  // A weighted grid plus one isolated vertex, whose scale is 0.
   const Graph grid = gen::grid2d(6, 7, gen::WeightSpec::uniform(0.5, 3.0), 9);
   const std::vector<WeightedEdge> edges = grid.edge_list();
   const Graph g(grid.num_vertices() + 1, edges);
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  std::vector<double> inv_diag(n);
+  ASSERT_EQ(g.degree(g.num_vertices() - 1), 0);
+  std::vector<double> scale(n);
   for (std::size_t v = 0; v < n; ++v) {
     const double vol = g.vol(static_cast<vidx>(v));
-    inv_diag[v] = vol > 0.0 ? 1.0 / vol : 0.0;
+    scale[v] = 0.7 * (vol > 0.0 ? 1.0 / vol : 0.0);
   }
-  ASSERT_EQ(g.degree(g.num_vertices() - 1), 0);
-  const double omega = 0.7;
   Rng rng(17);
   for (int k = 1; k <= 9; ++k) {
     const std::size_t size = n * static_cast<std::size_t>(k);
-    std::vector<double> x(size);
     std::vector<double> r(size);
-    for (auto& v : x) v = rng.uniform(-1.0, 1.0);
     for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+    // The iterate stored, then the plain product and the subtraction.
+    std::vector<double> x(size);
+    for (std::size_t i = 0; i < size; ++i) x[i] = scale[i % n] * r[i];
     std::vector<double> ax(size);
     g.laplacian_apply_block(x, ax, k);
     std::vector<double> residual(size);
-    std::vector<double> sweep(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      residual[i] = r[i] - ax[i];
-      sweep[i] = x[i] + omega * inv_diag[i % n] * (r[i] - ax[i]);
-    }
+    for (std::size_t i = 0; i < size; ++i) residual[i] = r[i] - ax[i];
     std::vector<double> out(size, -1.0);
-    g.laplacian_residual_block(x, r, out, k);
+    g.laplacian_scaled_residual_block(scale, r, out, k);
     EXPECT_TRUE(bitwise_equal(out, residual)) << "residual k=" << k;
-    // The residual may overwrite its right-hand side.
-    std::vector<double> in_place = r;
-    g.laplacian_residual_block(x, in_place, in_place, k);
-    EXPECT_TRUE(bitwise_equal(in_place, residual)) << "in-place k=" << k;
-    std::fill(out.begin(), out.end(), -1.0);
-    g.jacobi_sweep_block(x, r, inv_diag, omega, out, k);
-    EXPECT_TRUE(bitwise_equal(out, sweep)) << "jacobi k=" << k;
-    // The zero inverse diagonal leaves the isolated vertex where it was.
+    // The isolated vertex has no arcs and zero volume: its residual is r.
     for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
-      EXPECT_EQ(out[j * n + n - 1], x[j * n + n - 1]);
+      EXPECT_EQ(out[j * n + n - 1], r[j * n + n - 1]);
     }
+  }
+}
+
+TEST(GraphBlockKernels, ProlongedProductMatchesStoredProlongation) {
+  // 4,900 vertices: three reduction blocks, the last one partial.
+  const Graph g = gen::grid2d(70, 70, gen::WeightSpec::uniform(0.5, 3.0), 4);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const std::size_t m = 600;
+  Rng rng(23);
+  std::vector<vidx> assignment(n);
+  for (auto& c : assignment) {
+    c = static_cast<vidx>(rng.uniform_index(m));
+  }
+  const int ambient = omp_get_max_threads();
+  for (int k = 1; k <= 9; ++k) {
+    const auto uk = static_cast<std::size_t>(k);
+    std::vector<double> xc(m * uk);
+    for (auto& v : xc) v = rng.uniform(-1.0, 1.0);
+    // The prolongation stored, then the plain product and la::dot.
+    std::vector<double> e(n * uk);
+    for (std::size_t j = 0; j < uk; ++j) {
+      for (std::size_t v = 0; v < n; ++v) {
+        e[j * n + v] = xc[j * m + static_cast<std::size_t>(assignment[v])];
+      }
+    }
+    std::vector<double> expected(n * uk);
+    g.laplacian_apply_block(e, expected, k);
+    for (const int threads : {1, 4}) {
+      omp_set_num_threads(threads);
+      std::vector<double> y(n * uk, -1.0);
+      std::vector<double> energy(uk, -1.0);
+      g.laplacian_apply_prolonged_block(assignment, xc, y, energy, k);
+      EXPECT_TRUE(bitwise_equal(y, expected))
+          << "k=" << k << " threads=" << threads;
+      for (std::size_t j = 0; j < uk; ++j) {
+        const auto col = [&](const std::vector<double>& b) {
+          return std::span<const double>(b).subspan(j * n, n);
+        };
+        const double dot = la::dot(col(e), col(expected));
+        EXPECT_EQ(std::memcmp(&energy[j], &dot, sizeof dot), 0)
+            << "k=" << k << " j=" << j << " threads=" << threads;
+      }
+    }
+    omp_set_num_threads(ambient);
   }
 }
 
 TEST(GraphBlockKernels, FusedFormsRejectBadShapes) {
   const Graph g = triangle();
-  std::vector<double> x(6);
   std::vector<double> r(6);
   std::vector<double> y(6);
   std::vector<double> short_r(5);
-  std::vector<double> inv(3);
-  std::vector<double> short_inv(2);
-  EXPECT_THROW(g.laplacian_residual_block(x, short_r, y, 2),
+  std::vector<double> scale(3);
+  std::vector<double> short_scale(2);
+  EXPECT_THROW(g.laplacian_scaled_residual_block(scale, short_r, y, 2),
                invalid_argument_error);
-  EXPECT_THROW(g.laplacian_residual_block(x, r, y, 3), invalid_argument_error);
-  EXPECT_THROW(g.jacobi_sweep_block(x, r, short_inv, 0.7, y, 2),
+  EXPECT_THROW(g.laplacian_scaled_residual_block(scale, r, y, 3),
                invalid_argument_error);
-  EXPECT_THROW(g.jacobi_sweep_block(x, short_r, inv, 0.7, y, 2),
+  EXPECT_THROW(g.laplacian_scaled_residual_block(short_scale, r, y, 2),
+               invalid_argument_error);
+  const std::vector<vidx> assignment{0, 1, 1};
+  const std::vector<vidx> short_assignment{0, 1};
+  std::vector<double> xc(4);
+  std::vector<double> odd_xc(5);
+  std::vector<double> energy(2);
+  std::vector<double> short_energy(1);
+  EXPECT_THROW(
+      g.laplacian_apply_prolonged_block(short_assignment, xc, y, energy, 2),
+      invalid_argument_error);
+  EXPECT_THROW(g.laplacian_apply_prolonged_block(assignment, odd_xc, y,
+                                                 energy, 2),
+               invalid_argument_error);
+  EXPECT_THROW(g.laplacian_apply_prolonged_block(assignment, xc, short_r,
+                                                 energy, 2),
+               invalid_argument_error);
+  EXPECT_THROW(g.laplacian_apply_prolonged_block(assignment, xc, y,
+                                                 short_energy, 2),
                invalid_argument_error);
 }
 

@@ -170,6 +170,25 @@ TEST_F(SolverReportTest, TimingAttributionIsConsistent) {
             report.levels.front().cycle_seconds * 1.5 + 1e-6);
 }
 
+TEST_F(SolverReportTest, CoarseCorrectionStepsArePerLevel) {
+  const obs::SolverReport report = solver_->report();
+  ASSERT_FALSE(report.levels.empty());
+  for (const obs::LevelReport& lv : report.levels) {
+    EXPECT_GT(lv.step_min, 0.0);
+    EXPECT_LE(lv.step_min, lv.step_mean);
+    EXPECT_EQ(lv.step_fallbacks, 0);
+  }
+  // The last level's coarse system is solved exactly, so its step is 1.
+  EXPECT_NEAR(report.levels.back().step_mean, 1.0, 1e-8);
+  EXPECT_NEAR(report.levels.back().step_min, 1.0, 1e-8);
+  const obs::JsonValue doc = obs::parse_json(report.to_json());
+  const obs::JsonValue& top = doc.at("levels").array.front();
+  EXPECT_EQ(top.at("step_mean").number, report.levels.front().step_mean);
+  EXPECT_EQ(top.at("step_min").number, report.levels.front().step_min);
+  EXPECT_EQ(top.at("step_fallbacks").number, 0.0);
+  EXPECT_NE(report.to_text().find("step_mean"), std::string::npos);
+}
+
 TEST_F(SolverReportTest, ResidualTraceMatchesSolveAndConverges) {
   const obs::SolverReport report = solver_->report();
   EXPECT_TRUE(report.converged);
