@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
 
@@ -167,6 +169,46 @@ TEST(TreeDecomposition, DeterministicForFixedInput) {
   const Decomposition d1 = tree_decomposition(g);
   const Decomposition d2 = tree_decomposition(g);
   EXPECT_EQ(d1.assignment, d2.assignment);
+}
+
+/// FNV-1a 64 of the cluster count and the assignment bytes.
+std::uint64_t assignment_fnv(const Decomposition& d) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold = [&h](const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  fold(&d.num_clusters, sizeof d.num_clusters);
+  fold(d.assignment.data(), d.assignment.size() * sizeof(vidx));
+  return h;
+}
+
+TEST(TreeDecomposition, AssignmentsMatchPinnedConstants) {
+  // The planner's decisions on hub-heavy and weighted trees. Its candidate
+  // clusters have 2-3 members and ties between candidates are broken on
+  // exactly equal scores, so a change in how a candidate's closure
+  // conductance is evaluated (even in the last bits) shows up here.
+  struct Pin {
+    const char* name;
+    Graph graph;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"caterpillar(200, 20)", gen::caterpillar(200, 20),
+       3134017298416098237ULL},
+      {"spider(30, 5)", gen::spider(30, 5), 8282950339728640932ULL},
+      {"star(50)", gen::star(50), 5168460237950343140ULL},
+      {"binary_tree(10) lognormal",
+       gen::binary_tree(10, gen::WeightSpec::lognormal(0.0, 1.0), 5),
+       955507456733103189ULL},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(assignment_fnv(tree_decomposition(pin.graph)), pin.fnv)
+        << pin.name;
+  }
 }
 
 }  // namespace
