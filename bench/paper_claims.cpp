@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "hicond/graph/builder.hpp"
-#include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/quotient.hpp"
@@ -394,7 +393,7 @@ void support_bounds(Ledger& led) {
     star_ratio = std::max(star_ratio,
                           support_sigma_dense(schur, g) /
                               star_complement_support_bound(
-                                  1.0, conductance_exact(g)));
+                                  1.0, conductance_bounds(g).lower));
   }
   led.at_most("TAB-L34", "max sigma(B_star, A) / (2 / (gamma phi_A^2))",
               star_ratio, 1.0);
@@ -406,11 +405,7 @@ void support_bounds(Ledger& led) {
   for (const Graph& g : mediums) {
     const Decomposition p = section31(g, 3);
     const double sigma = steiner_support_dense(g, p);
-    double phi = kInf;
-    for (const auto& cluster : cluster_members(p.assignment, p.num_clusters)) {
-      phi = std::min(phi,
-                     conductance_bounds(closure_graph(g, cluster).graph).lower);
-    }
+    const double phi = evaluate_decomposition(g, p).min_phi_lower;
     const auto gammas = per_vertex_gamma(g, p);
     const double gamma = *std::min_element(gammas.begin(), gammas.end());
     ratio_phi = std::max(ratio_phi, sigma / steiner_support_bound_phi_rho(phi));

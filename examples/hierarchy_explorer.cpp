@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
               "phi_lo", "phi_hi", "gamma");
   for (int l = 0; l < h.num_levels(); ++l) {
     const auto& lv = h.levels[static_cast<std::size_t>(l)];
-    // Quality evaluation is the expensive part; sample the closures exactly
-    // up to the default size cap.
+    // Clusters of the size cap's order are scored exactly, so phi_lo and
+    // phi_hi agree.
     const DecompositionStats stats =
         evaluate_decomposition(lv.graph, lv.decomposition);
     std::printf("%5d %10d %12lld %8.2f %10.4f %10.4f %10.4f\n", l,

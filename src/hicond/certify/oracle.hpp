@@ -1,8 +1,8 @@
 // Independent, deliberately-slow re-computations backing the certificates.
 //
 // The oracle functions deliberately avoid the optimized evaluators the
-// library itself uses (Gray-code incremental brute force, cached volumes in
-// sweep form): every quantity is recomputed from first principles so a bug
+// library itself uses (closure conductance enumerated over the cluster's
+// members with prefix sums, cached volumes in sweep form): every quantity is recomputed from first principles so a bug
 // in the fast path cannot certify itself. Costs are documented per function
 // and are acceptable because certification runs on small closures (brute
 // force) or once per instance (Lanczos).

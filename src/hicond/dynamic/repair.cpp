@@ -6,7 +6,6 @@
 
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
-#include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/quotient.hpp"
 #include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
@@ -15,10 +14,6 @@
 namespace hicond::dynamic {
 
 namespace {
-
-/// Clusters up to this size are scored exactly by closure_conductance
-/// (2^(|C|-1) bipartitions); larger ones by their closure's Cheeger bound.
-constexpr vidx kScanExactMaxMembers = 20;
 
 RepairResult declined(const char* reason) {
   RepairResult r;
@@ -90,21 +85,14 @@ RepairResult repair_decomposition(const Graph& new_graph,
     HICOND_SPAN("dynamic.repair_scan");
     for (const vidx c : candidates) {
       const std::vector<vidx>& cluster = members[static_cast<std::size_t>(c)];
-      bool dirty;
-      if (cluster.size() <= static_cast<std::size_t>(kScanExactMaxMembers)) {
-        // Exact, from the cluster alone. An internally disconnected cluster
-        // scores 0 (weights are positive, so only then) and is always dirty:
-        // it would break the quotient's contraction semantics.
-        const double phi = closure_conductance(new_graph, cluster);
-        dirty = phi <= 0.0 || phi < floor;
-      } else {
-        const ClosureGraph closure = closure_graph(new_graph, cluster);
-        // The certified Cheeger lower bound keeps this safe: a below-floor
-        // bound on a genuinely good cluster only costs an unnecessary
-        // re-clustering.
-        dirty = !is_connected(closure.graph) ||
-                cheeger_lower_bound(closure.graph) < floor;
-      }
+      // Exact up to kClosureExactMembers members, a certified lower bound
+      // beyond: a below-floor bound on a genuinely good cluster only costs
+      // an unnecessary re-clustering. An internally disconnected cluster
+      // scores exactly 0 (weights are positive, so only then) and is always
+      // dirty: it would break the quotient's contraction semantics.
+      const ConductanceBounds phi =
+          closure_conductance_bounds(new_graph, cluster);
+      const bool dirty = phi.upper <= 0.0 || phi.lower < floor;
       if (dirty) {
         is_dissolved[static_cast<std::size_t>(c)] = 1;
         ++clusters_dirty;

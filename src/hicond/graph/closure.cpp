@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "hicond/graph/builder.hpp"
-#include "hicond/graph/conductance.hpp"
 #include "hicond/util/float_eq.hpp"
 
 namespace hicond {
@@ -174,6 +173,15 @@ double closure_conductance(const Graph& g, std::span<const vidx> cluster) {
     best = std::min(best, p.cut / std::min(p.vol_in, p.vol_out));
   }
   return best;
+}
+
+ConductanceBounds closure_conductance_bounds(const Graph& g,
+                                             std::span<const vidx> cluster) {
+  if (cluster.size() <= static_cast<std::size_t>(kClosureExactMembers)) {
+    const double phi = closure_conductance(g, cluster);
+    return {.lower = phi, .upper = phi, .exact = true};
+  }
+  return conductance_bounds(closure_graph(g, cluster).graph);
 }
 
 }  // namespace hicond

@@ -5,11 +5,16 @@
 // degree-1 vertex attached to u with that edge's weight. The defining
 // property of a [phi, rho] decomposition is that every cluster's closure has
 // conductance at least phi.
+//
+// closure_conductance_bounds is the one way the library scores a cluster:
+// exact from the members alone up to kClosureExactMembers members, and the
+// bounds of the built closure graph beyond.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "hicond/graph/conductance.hpp"
 #include "hicond/graph/graph.hpp"
 
 namespace hicond {
@@ -49,5 +54,17 @@ struct ClosureGraph {
 /// Requires 1 <= |cluster| <= 24, distinct vertices in range.
 [[nodiscard]] double closure_conductance(const Graph& g,
                                          std::span<const vidx> cluster);
+
+/// Clusters with at most this many members are scored exactly.
+inline constexpr vidx kClosureExactMembers = 20;
+
+/// Conductance of the closure graph of `cluster`: exact (closure_conductance)
+/// for at most kClosureExactMembers members, otherwise conductance_bounds of
+/// the built closure graph (exactly 0 when the cluster is disconnected,
+/// Cheeger lower and spectral-sweep upper bound when it is not). Weights are
+/// positive, so `upper` is 0 exactly when the members are not connected
+/// among themselves.
+[[nodiscard]] ConductanceBounds closure_conductance_bounds(
+    const Graph& g, std::span<const vidx> cluster);
 
 }  // namespace hicond

@@ -1,11 +1,11 @@
 #include "hicond/graph/conductance.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
+#include "hicond/graph/closure.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/la/dense_eigen.hpp"
 #include "hicond/util/rng.hpp"
@@ -30,42 +30,6 @@ double cut_sparsity(const Graph& g, std::span<const char> in_s) {
   const double denom = std::min(vol_in, vol_out);
   if (denom <= 0.0) return kInfiniteConductance;
   return cut / denom;
-}
-
-double conductance_exact(const Graph& g) {
-  const vidx n = g.num_vertices();
-  if (n < 2) return kInfiniteConductance;
-  HICOND_CHECK(n <= 24, "conductance_exact limited to n <= 24");
-  const double total = g.total_volume();
-  if (total <= 0.0) return 0.0;  // isolated vertices -> zero-capacity cuts
-  std::vector<char> in_s(static_cast<std::size_t>(n), 0);
-  double vol_in = 0.0;
-  double cut = 0.0;
-  double best = kInfiniteConductance;
-  // Gray-code enumeration: subset of {1..n-1} (vertex 0 pinned outside to
-  // halve the work); step i flips the lowest set bit position of i.
-  const std::uint64_t count = 1ULL << (n - 1);
-  for (std::uint64_t i = 1; i < count; ++i) {
-    const int bit = std::countr_zero(i);
-    const auto v = static_cast<std::size_t>(bit + 1);
-    const double sign = in_s[v] ? -1.0 : 1.0;
-    in_s[v] = static_cast<char>(!in_s[v]);
-    vol_in += sign * g.vol(static_cast<vidx>(v));
-    const auto nbrs = g.neighbors(static_cast<vidx>(v));
-    const auto ws = g.weights(static_cast<vidx>(v));
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      // After the flip: if the neighbour is on the same side the edge became
-      // internal (or stayed internal); crossing weight changes accordingly.
-      if (in_s[static_cast<std::size_t>(nbrs[k])] == in_s[v]) {
-        cut -= ws[k];
-      } else {
-        cut += ws[k];
-      }
-    }
-    const double denom = std::min(vol_in, total - vol_in);
-    if (denom > 0.0) best = std::min(best, cut / denom);
-  }
-  return best;
 }
 
 double conductance_sweep(const Graph& g, std::span<const double> score) {
@@ -267,7 +231,7 @@ double cheeger_lower_bound(const Graph& g) {
   return 0.5 * lambda2_normalized(g);
 }
 
-ConductanceBounds conductance_bounds(const Graph& g, vidx exact_limit) {
+ConductanceBounds conductance_bounds(const Graph& g) {
   ConductanceBounds b;
   const vidx n = g.num_vertices();
   if (n < 2) {
@@ -280,8 +244,13 @@ ConductanceBounds conductance_bounds(const Graph& g, vidx exact_limit) {
     b.exact = true;
     return b;
   }
-  if (n <= std::min<vidx>(exact_limit, 24)) {
-    b.lower = b.upper = conductance_exact(g);
+  if (n <= kClosureExactMembers) {
+    // The closure of every vertex is G itself, and phi(G) <= 1 here (a
+    // smallest-volume vertex alone is a cut of sparsity 1), so
+    // closure_conductance's clamp at 1 never fires.
+    std::vector<vidx> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), 0);
+    b.lower = b.upper = closure_conductance(g, all);
     b.exact = true;
     return b;
   }

@@ -2,14 +2,18 @@
 //
 // sparsity(S) = cap(S, V-S) / min(vol(S), vol(V-S)); the conductance of a
 // graph is the minimum sparsity over all cuts. Exact computation is
-// exponential, so three evaluators are provided:
-//  * conductance_exact      -- brute force (Gray-code incremental), n <= 24;
+// exponential, so conductance_bounds is exact only on small graphs:
+//  * exact                  -- closure_conductance over every vertex
+//                              (graph/closure.hpp: the closure of V is G
+//                              itself), n <= kClosureExactMembers;
 //  * conductance_sweep      -- minimum over prefix cuts of a score order
 //                              (an upper bound for any score vector);
 //  * cheeger_lower_bound    -- lambda_2(normalized Laplacian) / 2, a true
 //                              lower bound by the Cheeger inequality.
-// The clusters produced by the paper's decompositions are O(1)-sized, so the
-// [phi, rho] guarantees are validated *exactly* in the tests.
+// A cluster is scored through closure_conductance_bounds (graph/closure.hpp),
+// which is exact from the members alone: the clusters produced by the
+// paper's decompositions are O(1)-sized, so their [phi, rho] guarantees are
+// evaluated *exactly*.
 #pragma once
 
 #include <limits>
@@ -25,11 +29,6 @@ inline constexpr double kInfiniteConductance =
 /// Sparsity of the cut given by the 0/1 side flags. Returns +infinity when
 /// either side has zero volume (no valid cut).
 [[nodiscard]] double cut_sparsity(const Graph& g, std::span<const char> in_s);
-
-/// Exact conductance by enumerating all 2^(n-1) cuts with Gray-code updates.
-/// Requires 2 <= n <= 24. Graphs with < 2 vertices have no cuts and return
-/// +infinity; disconnected graphs return 0.
-[[nodiscard]] double conductance_exact(const Graph& g);
 
 /// Minimum sparsity over the n-1 prefix cuts of vertices sorted by `score`
 /// ascending. An upper bound on the conductance.
@@ -54,15 +53,16 @@ inline constexpr double kInfiniteConductance =
 /// Cheeger lower bound: conductance >= lambda_2 / 2.
 [[nodiscard]] double cheeger_lower_bound(const Graph& g);
 
-/// Lower and upper bounds on the conductance; exact (lower == upper) when
-/// n <= `exact_limit`.
+/// Lower and upper bounds on the conductance.
 struct ConductanceBounds {
   double lower = 0.0;
   double upper = kInfiniteConductance;
   bool exact = false;
 };
 
-[[nodiscard]] ConductanceBounds conductance_bounds(const Graph& g,
-                                                   vidx exact_limit = 20);
+/// Exact (lower == upper) for fewer than 2 vertices (+infinity: no cuts),
+/// for a disconnected graph (0) and for n <= kClosureExactMembers;
+/// otherwise the Cheeger lower bound and the spectral-sweep upper bound.
+[[nodiscard]] ConductanceBounds conductance_bounds(const Graph& g);
 
 }  // namespace hicond

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "hicond/graph/closure.hpp"
-#include "hicond/graph/conductance.hpp"
-#include "hicond/graph/quotient.hpp"
 #include "hicond/obs/json.hpp"
+#include "hicond/partition/decomposition.hpp"
 #include "hicond/util/stats.hpp"
 #include "hicond/util/timer.hpp"
 
@@ -17,24 +15,19 @@ namespace {
 /// Closure-conductance distribution of one level's decomposition: certified
 /// lower bounds per cluster, summarized as min / p50 / p90.
 void fill_phi_distribution(const Graph& g, const Decomposition& d,
-                           vidx exact_limit, LevelReport& out) {
+                           LevelReport& out) {
+  const std::vector<ConductanceBounds> bounds =
+      cluster_conductance_bounds(g, d);
+  if (bounds.empty()) return;
   std::vector<double> lower;
-  lower.reserve(static_cast<std::size_t>(d.num_clusters));
+  lower.reserve(bounds.size());
   bool all_exact = true;
-  // Members gathered once: O(n) per level, not O(n) per cluster.
-  const std::vector<std::vector<vidx>> members =
-      cluster_members(d.assignment, d.num_clusters);
-  for (vidx c = 0; c < d.num_clusters; ++c) {
-    const ClosureGraph closure =
-        closure_graph(g, members[static_cast<std::size_t>(c)]);
-    const ConductanceBounds bounds =
-        conductance_bounds(closure.graph, exact_limit);
+  for (const ConductanceBounds& b : bounds) {
     // Single-vertex closures have no cuts (infinite conductance); clamp so
     // the summary stays finite and JSON-representable.
-    lower.push_back(std::min(bounds.lower, 1.0));
-    all_exact = all_exact && bounds.exact;
+    lower.push_back(std::min(b.lower, 1.0));
+    all_exact = all_exact && b.exact;
   }
-  if (lower.empty()) return;
   out.phi_min = *std::min_element(lower.begin(), lower.end());
   out.phi_p50 = percentile(lower, 50.0);
   out.phi_p90 = percentile(lower, 90.0);
@@ -65,8 +58,7 @@ void append_level_json(JsonWriter& w, const LevelReport& lv) {
 
 }  // namespace
 
-SolverReport make_solver_report(const MultilevelSteinerSolver& solver,
-                                const SolverReportOptions& options) {
+SolverReport make_solver_report(const MultilevelSteinerSolver& solver) {
   const LaminarHierarchy& h = solver.hierarchy();
   SolverReport report;
   report.num_levels = h.num_levels();
@@ -95,10 +87,7 @@ SolverReport make_solver_report(const MultilevelSteinerSolver& solver,
     lv.reduction = hl.decomposition.reduction_factor();
     lv.build_seconds = hl.build_seconds;
     lv.cut_fraction = cut_weight_fraction(hl.graph, hl.decomposition);
-    if (options.quality) {
-      fill_phi_distribution(hl.graph, hl.decomposition, options.exact_limit,
-                            lv);
-    }
+    fill_phi_distribution(hl.graph, hl.decomposition, lv);
     const LevelCycleStats& inclusive = cycle[static_cast<std::size_t>(l)];
     const LevelCycleStats& child = cycle[static_cast<std::size_t>(l) + 1];
     lv.cycle_calls = inclusive.calls;

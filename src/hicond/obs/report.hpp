@@ -18,15 +18,6 @@
 
 namespace hicond::obs {
 
-struct SolverReportOptions {
-  /// Evaluate the per-level closure-conductance distribution. Costs one
-  /// conductance bound per cluster per level (exact for closures up to
-  /// `exact_limit` vertices, Cheeger bound beyond); disable for very large
-  /// graphs when only timings are wanted.
-  bool quality = true;
-  vidx exact_limit = 20;
-};
-
 /// One level of the laminar hierarchy, as reported.
 struct LevelReport {
   int level = 0;           ///< 0 = finest (the input graph)
@@ -37,8 +28,8 @@ struct LevelReport {
   double build_seconds = 0.0;  ///< contraction time spent producing level+1
 
   // Closure-conductance distribution over this level's clusters (certified
-  // lower bounds; phi_exact when every closure was evaluated exactly).
-  // Zeroed when SolverReportOptions::quality is off.
+  // lower bounds; phi_exact when every cluster was scored exactly, as every
+  // cluster of at most kClosureExactMembers members is).
   double phi_min = 0.0;
   double phi_p50 = 0.0;
   double phi_p90 = 0.0;
@@ -90,7 +81,6 @@ struct SolverReport {
 /// Assemble the hierarchy/preconditioner half of a report from a built
 /// multilevel solver (the solve half stays zeroed; LaplacianSolver fills it).
 [[nodiscard]] SolverReport make_solver_report(
-    const MultilevelSteinerSolver& solver,
-    const SolverReportOptions& options = {});
+    const MultilevelSteinerSolver& solver);
 
 }  // namespace hicond::obs

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "hicond/graph/closure.hpp"
-#include "hicond/graph/conductance.hpp"
-#include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/quotient.hpp"
 #include "hicond/util/parallel.hpp"
 
@@ -22,27 +20,6 @@ void Decomposition::validate(const Graph& g) const {
   }
   for (vidx c = 0; c < num_clusters; ++c) {
     HICOND_CHECK(seen[static_cast<std::size_t>(c)], "empty cluster id");
-  }
-}
-
-void Decomposition::validate_quality(const Graph& g, double phi, double rho,
-                                     vidx exact_limit) const {
-  validate(g);
-  HICOND_CHECK(phi >= 0.0 && rho >= 1.0, "invalid [phi, rho] targets");
-  // Slack for the floating-point conductance evaluation; the guarantees
-  // themselves are combinatorial.
-  constexpr double kTol = 1e-9;
-  HICOND_CHECK(static_cast<double>(num_clusters) <=
-                   static_cast<double>(g.num_vertices()) / rho + kTol,
-               "cluster count exceeds n / rho");
-  const auto members = cluster_members(assignment, num_clusters);
-  for (vidx c = 0; c < num_clusters; ++c) {
-    const ClosureGraph closure =
-        closure_graph(g, members[static_cast<std::size_t>(c)]);
-    const ConductanceBounds b =
-        conductance_bounds(closure.graph, exact_limit);
-    HICOND_CHECK(b.lower >= phi - kTol,
-                 "cluster closure conductance below phi");
   }
 }
 
@@ -76,49 +53,38 @@ std::vector<double> per_vertex_gamma(const Graph& g, const Decomposition& d) {
   return gamma;
 }
 
-DecompositionStats evaluate_decomposition(const Graph& g,
-                                          const Decomposition& d,
-                                          vidx exact_limit) {
+std::vector<ConductanceBounds> cluster_conductance_bounds(
+    const Graph& g, const Decomposition& d) {
   validate_decomposition(g, d);
+  const auto members = cluster_members(d.assignment, d.num_clusters);
+  // Clusters are scored independently, each slot by its own writer, so the
+  // result does not depend on the thread schedule.
+  std::vector<ConductanceBounds> bounds(members.size());
+  parallel_for_interleaved(members.size(), [&](std::size_t c) {
+    bounds[c] = closure_conductance_bounds(g, members[c]);
+  });
+  return bounds;
+}
+
+DecompositionStats evaluate_decomposition(const Graph& g,
+                                          const Decomposition& d) {
+  const std::vector<ConductanceBounds> bounds =
+      cluster_conductance_bounds(g, d);
   DecompositionStats stats;
   stats.num_clusters = d.num_clusters;
   stats.reduction_factor = d.reduction_factor();
   stats.min_phi_lower = kInfiniteConductance;
   stats.min_phi_upper = kInfiniteConductance;
   stats.phi_exact = true;
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  // Per-cluster closure/connectivity evaluation is independent across
-  // clusters; each slot of `per_cluster` has a unique writer, and the final
-  // min/count folding runs serially in cluster order, so the stats do not
-  // depend on the thread schedule.
-  struct ClusterEval {
-    char disconnected = 0;
-    char exact = 1;
-    double lower = kInfiniteConductance;
-    double upper = kInfiniteConductance;
-  };
-  std::vector<ClusterEval> per_cluster(members.size());
-  parallel_for_interleaved(members.size(), [&](std::size_t c) {
-    const auto& cluster = members[c];
-    const ClosureGraph closure = closure_graph(g, cluster);
-    // A cluster must induce a connected subgraph; check on the closure's
-    // cluster part.
-    const Graph induced = induced_subgraph(g, cluster);
-    ClusterEval& e = per_cluster[c];
-    e.disconnected = is_connected(induced) ? 0 : 1;
-    const ConductanceBounds b = conductance_bounds(closure.graph, exact_limit);
-    e.lower = b.lower;
-    e.upper = b.upper;
-    e.exact = b.exact ? 1 : 0;
-  });
-  for (std::size_t c = 0; c < members.size(); ++c) {
-    stats.max_cluster_size = std::max(
-        stats.max_cluster_size, static_cast<vidx>(members[c].size()));
-    if (members[c].size() == 1) ++stats.num_singletons;
-    if (per_cluster[c].disconnected) ++stats.num_disconnected_clusters;
-    stats.min_phi_lower = std::min(stats.min_phi_lower, per_cluster[c].lower);
-    stats.min_phi_upper = std::min(stats.min_phi_upper, per_cluster[c].upper);
-    if (!per_cluster[c].exact) stats.phi_exact = false;
+  std::vector<vidx> size(bounds.size(), 0);
+  for (const vidx c : d.assignment) ++size[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < bounds.size(); ++c) {
+    stats.max_cluster_size = std::max(stats.max_cluster_size, size[c]);
+    if (size[c] == 1) ++stats.num_singletons;
+    if (bounds[c].upper <= 0.0) ++stats.num_disconnected_clusters;
+    stats.min_phi_lower = std::min(stats.min_phi_lower, bounds[c].lower);
+    stats.min_phi_upper = std::min(stats.min_phi_upper, bounds[c].upper);
+    if (!bounds[c].exact) stats.phi_exact = false;
   }
   stats.mean_cluster_size =
       d.num_clusters > 0 ? static_cast<double>(g.num_vertices()) /

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "hicond/graph/conductance.hpp"
 #include "hicond/graph/graph.hpp"
 
 namespace hicond {
@@ -32,15 +33,6 @@ struct Decomposition {
   /// [0, num_clusters) and every id is used (exact cover by nonempty
   /// clusters). Throws invalid_argument_error naming the violated invariant.
   void validate(const Graph& g) const;
-
-  /// [phi, rho] quality validation (O(n + m) plus one conductance
-  /// evaluation per cluster): at most n / rho clusters, and every cluster's
-  /// closure graph has conductance at least phi (certified via the exact /
-  /// Cheeger lower bound of conductance_bounds). Intended for `expensive`
-  /// validation of decompositions whose construction claims these
-  /// guarantees. Throws invalid_argument_error on violation.
-  void validate_quality(const Graph& g, double phi, double rho,
-                        vidx exact_limit = 24) const;
 };
 
 /// Quality metrics of a decomposition on a graph.
@@ -49,7 +41,7 @@ struct DecompositionStats {
   double reduction_factor = 0.0;       ///< rho
   double min_phi_lower = 0.0;          ///< certified lower bound on phi
   double min_phi_upper = 0.0;          ///< upper bound (== lower when exact)
-  bool phi_exact = false;              ///< all closures evaluated exactly
+  bool phi_exact = false;              ///< every cluster scored exactly
   double min_gamma = 0.0;              ///< min_v cap(v, cluster) / vol(v)
   vidx num_singletons = 0;
   vidx max_cluster_size = 0;
@@ -62,11 +54,15 @@ struct DecompositionStats {
 /// kept as a free function for existing call sites.)
 void validate_decomposition(const Graph& g, const Decomposition& d);
 
-/// Full quality evaluation. Closures with at most `exact_limit` vertices are
-/// brute-forced; larger ones contribute their Cheeger lower bound and
-/// spectral-sweep upper bound.
+/// closure_conductance_bounds (graph/closure.hpp) of every cluster, indexed
+/// by cluster id: exact for clusters of at most kClosureExactMembers members.
+[[nodiscard]] std::vector<ConductanceBounds> cluster_conductance_bounds(
+    const Graph& g, const Decomposition& d);
+
+/// Full quality evaluation from cluster_conductance_bounds. A cluster is
+/// disconnected exactly when its upper bound is 0 (weights are positive).
 [[nodiscard]] DecompositionStats evaluate_decomposition(
-    const Graph& g, const Decomposition& d, vidx exact_limit = 20);
+    const Graph& g, const Decomposition& d);
 
 /// gamma(v) = cap(v, cluster(v) - v) / vol(v) for every vertex; the minimum
 /// is DecompositionStats::min_gamma. Singleton clusters yield gamma = 0.

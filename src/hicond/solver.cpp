@@ -74,9 +74,8 @@ std::vector<SolveStats> LaplacianSolver::solve_batch(std::span<const double> b,
   return stats;
 }
 
-obs::SolverReport LaplacianSolver::report(
-    const obs::SolverReportOptions& options) const {
-  obs::SolverReport r = obs::make_solver_report(*solver_, options);
+obs::SolverReport LaplacianSolver::report() const {
+  obs::SolverReport r = obs::make_solver_report(*solver_);
   r.setup_seconds = setup_seconds_;
   r.solves = num_solves_;
   r.solve_seconds = solve_seconds_total_;

@@ -89,8 +89,7 @@ class LaplacianSolver {
   /// V-cycle timings) plus the most recent solve's iteration stats and
   /// residual trace. Solve bookkeeping is updated by solve() without
   /// synchronization: don't call report() concurrently with a solve.
-  [[nodiscard]] obs::SolverReport report(
-      const obs::SolverReportOptions& options = {}) const;
+  [[nodiscard]] obs::SolverReport report() const;
 
  private:
   LaplacianSolverOptions options_;

@@ -37,14 +37,10 @@ struct Planner {
   const Graph& g;
   const TreeDecompOptions& opts;
 
-  /// Exact (or conservatively lower-bounded) closure conductance of a
-  /// candidate cluster.
+  /// Closure conductance of a candidate cluster (exact: candidates have
+  /// at most 3 members).
   double closure_phi(std::span<const vidx> verts) const {
-    const ClosureGraph c = closure_graph(g, verts);
-    if (c.graph.num_vertices() <= opts.exact_limit) {
-      return conductance_exact(c.graph);
-    }
-    return cheeger_lower_bound(c.graph);
+    return closure_conductance_bounds(g, verts).lower;
   }
 
   /// The heaviest edge from u to a critical vertex; returns (-1, 0) when u

@@ -25,8 +25,6 @@ struct TreeDecompOptions {
   /// carries at least `pair_slack * min(boundary1, boundary2)` weight; the
   /// closure conductance of such a pair is >= pair_slack/(pair_slack + 2).
   double pair_slack = 2.0;
-  /// Closures up to this size are brute-forced when scoring candidates.
-  vidx exact_limit = 18;
 };
 
 /// Decompose a forest per Theorem 2.1. Components with at most 3 vertices

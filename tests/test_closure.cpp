@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "hicond/certify/oracle.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
@@ -71,17 +72,21 @@ TEST(Closure, RejectsEmptyAndDuplicates) {
   EXPECT_THROW((void)closure_graph(g, dup), invalid_argument_error);
 }
 
+/// The closure-graph oracle enumerates 2^(n-1) cuts of the built closure,
+/// each recomputed from scratch; this cap keeps it fast.
+constexpr vidx kOracleMaxVertices = 16;
+
 /// Compare with the closure-graph oracle: brute force over every cut of
 /// the built G^o_C.
 void expect_matches_oracle(const Graph& g, std::span<const vidx> cluster) {
-  const double want = conductance_exact(closure_graph(g, cluster).graph);
+  const Graph closure = closure_graph(g, cluster).graph;
+  ASSERT_LE(closure.num_vertices(), kOracleMaxVertices);
+  const double want = certify::oracle_conductance_bruteforce(closure);
   const double got = closure_conductance(g, cluster);
   if (std::isinf(want)) {
     EXPECT_TRUE(std::isinf(got)) << got;
   } else {
-    // The absolute term absorbs the oracle's running-sum drift around 0.
-    EXPECT_LE(std::abs(got - want), 1e-9 * std::abs(want) + 1e-15)
-        << got << " vs " << want;
+    EXPECT_LE(std::abs(got - want), 1e-12 * want) << got << " vs " << want;
   }
 }
 
@@ -111,8 +116,6 @@ TEST(Closure, ConductanceMatchesClosureGraphOracle) {
   const std::vector<Graph> graphs{gen::grid2d(6, 5, w, 3),
                                   gen::grid3d(3, 3, 3, w, 4),
                                   gen::oct_volume(3, 3, 3, {}, 5)};
-  // The oracle's closure must stay small enough for conductance_exact.
-  constexpr vidx kMaxClosure = 20;
   Rng rng(77);
   for (const Graph& g : graphs) {
     int compared = 0;
@@ -123,7 +126,8 @@ TEST(Closure, ConductanceMatchesClosureGraphOracle) {
       const std::size_t size = 1 + rng.uniform_index(8);
       const std::vector<vidx> cluster =
           random_connected_cluster(g, seed_vertex, size, rng);
-      if (closure_graph(g, cluster).graph.num_vertices() > kMaxClosure) {
+      if (closure_graph(g, cluster).graph.num_vertices() >
+          kOracleMaxVertices) {
         continue;
       }
       expect_matches_oracle(g, cluster);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "hicond/certify/certify.hpp"
+#include "hicond/certify/oracle.hpp"
 #include "hicond/dynamic/repair.hpp"
 #include "hicond/dynamic/update.hpp"
 #include "hicond/graph/builder.hpp"
@@ -439,8 +440,10 @@ TEST(RepairDecomposition, DirtyCountMatchesExactClosureOracle) {
       dynamic::repair_decomposition(h, batch, old, ho, ro);
   ASSERT_TRUE(rr.repaired) << rr.decline_reason;
 
-  // Oracle: build each candidate's closure graph and score it by brute force
-  // against the default floor 1 / (2 d^2 k).
+  // Oracle: build each candidate's closure graph and score it against the
+  // default floor 1 / (2 d^2 k). Brute force decides closures of up to 16
+  // vertices; beyond that the oracle's certified bounds (Lanczos converges
+  // exactly at this size) decide unless the floor falls between them.
   const double d = static_cast<double>(h.max_degree());
   const double floor =
       1.0 / (2.0 * d * d *
@@ -459,9 +462,14 @@ TEST(RepairDecomposition, DirtyCountMatchesExactClosureOracle) {
     const Graph closure =
         closure_graph(h, members[static_cast<std::size_t>(c)]).graph;
     ASSERT_LE(closure.num_vertices(), 24) << "cluster " << c;
-    if (!is_connected(closure) || conductance_exact(closure) < floor) {
-      ++oracle_dirty;
-    }
+    // A disconnected closure scores exactly 0, so it is always dirty.
+    const certify::OracleConductance b =
+        certify::oracle_conductance(closure, /*exact_limit=*/16);
+    const bool decided = b.upper < floor || b.lower >= floor;
+    const bool dirty =
+        decided ? b.upper < floor
+                : certify::oracle_conductance_bruteforce(closure) < floor;
+    if (dirty) ++oracle_dirty;
   }
   EXPECT_GT(oracle_dirty, 0);
   EXPECT_EQ(rr.clusters_dirty, oracle_dirty);

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "hicond/certify/oracle.hpp"
+#include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
@@ -69,7 +71,7 @@ TEST(ConductanceSweep, ConstantScoresStillValid) {
   std::vector<double> score(9, 1.0);  // all ties: arbitrary but legal order
   const double s = conductance_sweep(g, score);
   EXPECT_GT(s, 0.0);
-  EXPECT_GE(s + 1e-12, conductance_exact(g));
+  EXPECT_GE(s + 1e-12, certify::oracle_conductance_bruteforce(g));
 }
 
 TEST(GraphIo, ExtremeWeightsRoundTrip) {
@@ -138,25 +140,39 @@ TEST(PlanarDecomposition, DisconnectedGraphStillDecomposes) {
 
 TEST(ConductanceExact, TwoIsolatedVerticesDegenerate) {
   const Graph g(2);
-  // No edges: total volume 0; every cut has zero capacity AND zero volume.
-  EXPECT_DOUBLE_EQ(conductance_exact(g), 0.0);
+  // No edges: total volume 0; every cut has zero capacity AND zero volume,
+  // and the graph is disconnected, so its conductance is exactly 0.
+  const ConductanceBounds b = conductance_bounds(g);
+  EXPECT_TRUE(b.exact);
+  EXPECT_EQ(b.lower, 0.0);
+  EXPECT_EQ(b.upper, 0.0);
 }
 
-TEST(EvaluateDecomposition, ExactLimitControlsCertification) {
-  const Graph g = gen::grid2d(6, 6, gen::WeightSpec::uniform(1.0, 2.0), 5);
+TEST(EvaluateDecomposition, FourMemberGrid3dClusterIsScoredExactly) {
+  // Four vertices in a column of a 3D grid, from a face inwards: 4 + 4 + 4
+  // + 5 boundary edges give a 21-vertex closure, yet the cluster is scored
+  // exactly from its 4 members. Every other vertex is a singleton.
+  const Graph g = gen::grid3d(6, 6, 6, gen::WeightSpec::uniform(1.0, 2.0), 5);
+  // (2, 2, z) for z = 0..3; vertex (x, y, z) is x + 6 (y + 6 z).
+  const vidx base = 2 + 6 * 2;
+  const std::vector<vidx> column{base, base + 36, base + 72, base + 108};
   Decomposition d;
-  d.num_clusters = 2;
-  d.assignment.resize(36);
-  for (vidx v = 0; v < 36; ++v) d.assignment[static_cast<std::size_t>(v)] = v / 18;
-  const auto tight = evaluate_decomposition(g, d, /*exact_limit=*/4);
-  const auto wide = evaluate_decomposition(g, d, /*exact_limit=*/24);
-  EXPECT_FALSE(tight.phi_exact);
-  // With a closure of 18 + 6 pendants = 24 vertices the wide limit is exact.
-  EXPECT_TRUE(wide.phi_exact);
-  // Tolerances account for the Gray-code accumulation roundoff in the exact
-  // enumerator (millions of incremental updates).
-  EXPECT_LE(tight.min_phi_lower, wide.min_phi_lower + 1e-9);
-  EXPECT_GE(tight.min_phi_upper + 1e-9, wide.min_phi_upper);
+  d.assignment.assign(static_cast<std::size_t>(g.num_vertices()), -1);
+  for (const vidx v : column) d.assignment[static_cast<std::size_t>(v)] = 0;
+  d.num_clusters = 1;
+  for (auto& c : d.assignment) {
+    if (c == -1) c = d.num_clusters++;
+  }
+  const Graph closure = closure_graph(g, column).graph;
+  ASSERT_EQ(closure.num_vertices(), 21);
+  const DecompositionStats stats = evaluate_decomposition(g, d);
+  EXPECT_TRUE(stats.phi_exact);
+  EXPECT_EQ(stats.min_phi_lower, stats.min_phi_upper);
+  // Singletons score 1, so the column is the minimum.
+  const double want = certify::oracle_conductance_bruteforce(closure);
+  EXPECT_LT(want, 1.0);
+  EXPECT_LE(std::abs(stats.min_phi_lower - want), 1e-12 * want)
+      << stats.min_phi_lower << " vs " << want;
 }
 
 }  // namespace

@@ -224,12 +224,18 @@ TEST_F(SolverReportTest, JsonRoundTrip) {
   EXPECT_NE(text.find("coarse"), std::string::npos);
 }
 
-TEST_F(SolverReportTest, SkippingQualityLeavesPhiUnset) {
-  const obs::SolverReport report =
-      solver_->report(obs::SolverReportOptions{.quality = false});
+TEST_F(SolverReportTest, PhiIsExactOnEveryOctLevel) {
+  // Fixed-degree clusters of a 3D volume have closures of more than 20
+  // vertices at level 0 and more still on the denser quotients above, yet
+  // each has at most 4 members, so every level's phi is exact.
+  const LaplacianSolver solver(gen::oct_volume(12, 12, 12, {}, 7),
+                               LaplacianSolverOptions{
+                                   .hierarchy = {.coarsest_size = 64}});
+  const obs::SolverReport report = solver.report();
+  ASSERT_GE(report.levels.size(), 2u);
   for (const obs::LevelReport& lv : report.levels) {
-    EXPECT_EQ(lv.phi_min, 0.0);
-    EXPECT_EQ(lv.phi_p50, 0.0);
+    EXPECT_TRUE(lv.phi_exact) << "level " << lv.level;
+    EXPECT_GT(lv.phi_min, 0.0) << "level " << lv.level;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hicond/certify/oracle.hpp"
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/generators.hpp"
@@ -67,9 +68,9 @@ TEST_P(SeedSweep, ClosureConductanceNeverExceedsInduced) {
     if (cluster.size() < 2) continue;
     const Graph induced = induced_subgraph(g, cluster);
     const ClosureGraph closure = closure_graph(g, cluster);
-    if (closure.graph.num_vertices() > 18) continue;
-    EXPECT_LE(conductance_exact(closure.graph),
-              conductance_exact(induced) + 1e-12);
+    if (closure.graph.num_vertices() > 16) continue;
+    EXPECT_LE(certify::oracle_conductance_bruteforce(closure.graph),
+              certify::oracle_conductance_bruteforce(induced) + 1e-12);
   }
 }
 

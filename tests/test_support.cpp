@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hicond/certify/oracle.hpp"
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/generators.hpp"
@@ -76,7 +77,7 @@ TEST(Lemma34, StarComplementSupportRespectsBound) {
     }
     const Graph b_restricted = induced_subgraph(b, keep);
     const double sigma = support_sigma_dense(b_restricted, a);
-    const double phi = conductance_exact(a);
+    const double phi = certify::oracle_conductance_bruteforce(a);
     EXPECT_LE(sigma, star_complement_support_bound(1.0, phi) + 1e-9)
         << "seed " << seed;
   }
@@ -94,7 +95,8 @@ TEST(Theorem35, SteinerSupportRespectsBothBounds) {
     double phi_closure = kInfiniteConductance;
     for (const auto& cluster : members) {
       const ClosureGraph c = closure_graph(a, cluster);
-      phi_closure = std::min(phi_closure, conductance_exact(c.graph));
+      phi_closure = std::min(phi_closure,
+                             certify::oracle_conductance_bruteforce(c.graph));
     }
     const auto gammas = per_vertex_gamma(a, p);
     double gamma = 1.0;

@@ -289,44 +289,6 @@ TEST(DecompositionValidate, RejectsEmptyClusterId) {
   expect_rejected([&] { d.validate(g); }, "empty cluster id");
 }
 
-TEST(DecompositionValidate, QualityAcceptsSingletonClusters) {
-  // Each cluster {v} has closure conductance 1 by convention, and
-  // num_clusters = n satisfies rho = 1.
-  const Graph g = gen::path(4);
-  Decomposition d;
-  d.assignment = {0, 1, 2, 3};
-  d.num_clusters = 4;
-  d.validate_quality(g, /*phi=*/0.5, /*rho=*/1.0);
-}
-
-TEST(DecompositionValidate, QualityRejectsTooManyClusters) {
-  const Graph g = gen::path(4);
-  Decomposition d;
-  d.assignment = {0, 1, 2, 3};
-  d.num_clusters = 4;
-  expect_rejected([&] { d.validate_quality(g, 0.01, /*rho=*/2.0); },
-                  "cluster count exceeds n / rho");
-}
-
-TEST(DecompositionValidate, QualityRejectsLowConductanceCluster) {
-  // Two 4-cliques joined by one light edge form a single low-conductance
-  // cluster; demand phi close to 1.
-  std::vector<WeightedEdge> edges;
-  for (vidx u = 0; u < 4; ++u) {
-    for (vidx v = u + 1; v < 4; ++v) {
-      edges.push_back({u, v, 1.0});
-      edges.push_back({u + 4, v + 4, 1.0});
-    }
-  }
-  edges.push_back({0, 4, 0.01});
-  const Graph g(8, edges);
-  Decomposition d;
-  d.assignment.assign(8, 0);
-  d.num_clusters = 1;
-  expect_rejected([&] { d.validate_quality(g, /*phi=*/0.9, /*rho=*/1.0); },
-                  "closure conductance below phi");
-}
-
 // --- RootedForest::from_parents -------------------------------------------
 
 TEST(RootedForestFromParents, AcceptsValidForest) {
