@@ -299,6 +299,60 @@ TEST(ServeBatch, BatchedMatchesSequentialBitwiseAcrossThreadCounts) {
   }
 }
 
+/// FNV-1a 64 over raw bytes, folded into a running hash.
+std::uint64_t fnv_fold(std::uint64_t h, const void* data, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ServeBatch, SolveBatchBitsMatchPinnedConstants) {
+  // Pinned constants over solve_batch on the 32x32 grid with the staggered
+  // freezes of the test above (k - 2 random columns, a zero column, the
+  // early column): column by column, the solution bytes, the iteration
+  // count and the residual history. k = 11 spans more than one 8-column
+  // chunk of the blocked kernels.
+  const Graph g = gen::grid2d(32, 32, gen::WeightSpec::uniform(0.5, 2.0), 5);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const std::vector<double> x0 = mean_free_rhs(g.num_vertices(), 7);
+  std::vector<double> lx0(n);
+  std::vector<double> early(n);
+  g.laplacian_apply(x0, lx0);
+  g.laplacian_apply(lx0, early);
+  constexpr std::pair<int, std::uint64_t> kPinned[] = {
+      {8, 0x30c7a379d21c98adULL}, {11, 0x694c6703aa777ecfULL}};
+  for (const auto& [k, expected] : kPinned) {
+    const auto uk = static_cast<std::size_t>(k);
+    std::vector<double> b;
+    for (std::size_t j = 0; j + 2 < uk; ++j) {
+      const std::vector<double> col = mean_free_rhs(g.num_vertices(), 100 + j);
+      b.insert(b.end(), col.begin(), col.end());
+    }
+    b.insert(b.end(), n, 0.0);
+    b.insert(b.end(), early.begin(), early.end());
+    for (const int threads : {1, 4}) {
+      with_thread_count(threads, [&] {
+        const LaplacianSolver solver(g);
+        std::vector<double> x(b.size(), 0.0);
+        const std::vector<SolveStats> stats = solver.solve_batch(b, x, k);
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (std::size_t j = 0; j < uk; ++j) {
+          h = fnv_fold(h, x.data() + j * n, n * sizeof(double));
+          h = fnv_fold(h, &stats[j].iterations, sizeof stats[j].iterations);
+          const std::vector<double>& history = stats[j].residual_history;
+          h = fnv_fold(h, history.data(), history.size() * sizeof(double));
+        }
+        EXPECT_EQ(stats[uk - 2].iterations, 0);
+        EXPECT_EQ(h, expected) << std::hex << h << " k=" << std::dec << k
+                               << " threads=" << threads;
+      });
+    }
+  }
+}
+
 TEST(ServeBatch, SingleColumnBatchMatchesPlainSolve) {
   const Graph g = test_graph();
   const LaplacianSolver solver(g);
