@@ -143,16 +143,18 @@ class Graph {
   /// with k = 1.
   void laplacian_apply(std::span<const double> x, std::span<double> y) const;
 
-  /// Y = A_G X for k vectors stored column-major (column j occupies
-  /// [j*n, (j+1)*n)); parallel over vertices. One CSR pass serves up to
+  /// Y = A_G X for k vectors stored vertex-major (entry (v, j) at v*k + j;
+  /// util/block.hpp); parallel over vertices. One CSR pass serves up to
   /// eight columns, so the row metadata (offsets, targets, weights) is read
-  /// once per chunk instead of once per column. Each column accumulates in
-  /// the same order whatever k is, so column j of Y does not depend on the
-  /// other columns or on the block width.
+  /// once per chunk instead of once per column, and each neighbour's
+  /// entries are one contiguous run. Each column accumulates in the same
+  /// order whatever k is, so column j of Y does not depend on the other
+  /// columns or on the block width.
   ///
   /// The two methods below are the same CSR pass, each fused with more
   /// work; their results are bitwise equal to the unfused steps they
-  /// describe. In all three, Y must not overlap the inputs.
+  /// describe. All three use the same layout, and in all three Y must not
+  /// overlap the inputs.
   void laplacian_apply_block(std::span<const double> x, std::span<double> y,
                              int k) const;
 
@@ -166,12 +168,12 @@ class Graph {
                                        std::span<double> y, int k) const;
 
   /// Y = A_G E for the prolonged block E = P Xc, E[v] = Xc[assignment[v]]
-  /// in every column, where Xc has one row per cluster (column stride
-  /// xc.size() / k) and every assignment entry indexes one. E is read
+  /// in every column, where Xc has one row per cluster (xc.size() / k rows,
+  /// vertex-major like Y) and every assignment entry indexes one. E is read
   /// through the assignment and never stored. Also writes energy[j] =
-  /// <E_j, Y_j> = E_j' A_G E_j, bitwise la::dot of the stored E_j and Y_j
-  /// at every thread count: the rows run in kReductionBlock blocks whose
-  /// partials are combined in block order.
+  /// <E_j, Y_j> = E_j' A_G E_j, a fixed-block sum over the rows
+  /// (parallel_sums): bitwise la::dot of the stored E_j and Y_j at every
+  /// thread count.
   void laplacian_apply_prolonged_block(std::span<const vidx> assignment,
                                        std::span<const double> xc,
                                        std::span<double> y,

@@ -21,15 +21,18 @@
 
 namespace hicond {
 
-/// Y = Op(X) for k vectors stored column-major (column j occupies
-/// [j*n, (j+1)*n) of both spans).
+/// Y = Op(X) for k vectors stored vertex-major (entry (v, j) at v*k + j of
+/// both spans; util/block.hpp), the layout of Graph's block kernels and
+/// MultilevelSteinerSolver::apply_block. At k = 1 it is a plain vector.
 using BlockOperator =
     std::function<void(std::span<const double>, std::span<double>, int)>;
 
-/// Flexible PCG over k right-hand sides stored column-major in `b`; `x`
-/// holds the initial guesses on entry and the solutions on exit. Returns
-/// one SolveStats per column, each identical to what flexible_pcg_solve
-/// would report for that column alone.
+/// Flexible PCG over k right-hand sides stored column-major in `b` (column
+/// j occupies [j*n, (j+1)*n)); `x` holds the initial guesses on entry and
+/// the solutions on exit, also column-major. The operators see vertex-major
+/// blocks: the solve converts b and x at this boundary, once. Returns one
+/// SolveStats per column, each identical to what flexible_pcg_solve would
+/// report for that column alone.
 std::vector<SolveStats> batched_flexible_pcg_solve(
     const BlockOperator& a, const BlockOperator& m_inv,
     std::span<const double> b, std::span<double> x, int k,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "hicond/util/block.hpp"
 #include "hicond/util/parallel.hpp"
 
 namespace hicond {
@@ -32,16 +33,33 @@ ClusterIndex ClusterIndex::build(std::span<const vidx> assignment,
 }
 
 void ClusterIndex::restrict_sum(std::span<const double> x,
-                                std::span<double> out) const {
-  HICOND_CHECK(x.size() == members_.size(), "input size mismatch");
-  HICOND_CHECK(out.size() == static_cast<std::size_t>(num_clusters()),
+                                std::span<double> out, int k) const {
+  HICOND_CHECK(k >= 1, "block width must be positive");
+  const auto uk = static_cast<std::size_t>(k);
+  HICOND_CHECK(x.size() == members_.size() * uk, "input size mismatch");
+  HICOND_CHECK(out.size() == static_cast<std::size_t>(num_clusters()) * uk,
                "output size mismatch");
-  parallel_for(out.size(), [&](std::size_t c) {
-    double acc = 0.0;
-    for (std::size_t k = offsets_[c]; k < offsets_[c + 1]; ++k) {
-      acc += x[static_cast<std::size_t>(members_[k])];
-    }
-    out[c] = acc;
+  with_block_width(k, [&]<std::size_t K>() {
+    parallel_for(offsets_.size() - 1, [&](std::size_t c) {
+      const std::size_t s = block_stride<K>(uk);
+      double* o = out.data() + c * s;
+      if constexpr (K != 0) {
+        double acc[K] = {};
+        for (std::size_t i = offsets_[c]; i < offsets_[c + 1]; ++i) {
+          const double* row =
+              x.data() + static_cast<std::size_t>(members_[i]) * K;
+          for (std::size_t j = 0; j < K; ++j) acc[j] += row[j];
+        }
+        for (std::size_t j = 0; j < K; ++j) o[j] = acc[j];
+      } else {
+        std::fill(o, o + s, 0.0);
+        for (std::size_t i = offsets_[c]; i < offsets_[c + 1]; ++i) {
+          const double* row =
+              x.data() + static_cast<std::size_t>(members_[i]) * s;
+          for (std::size_t j = 0; j < s; ++j) o[j] += row[j];
+        }
+      }
+    });
   });
 }
 

@@ -39,9 +39,13 @@ class ClusterIndex {
                 offsets_[static_cast<std::size_t>(c)])};
   }
 
-  /// out[c] = sum of x[v] over the members of c, in ascending vertex order.
-  /// Parallel over clusters; deterministic for every thread count.
-  void restrict_sum(std::span<const double> x, std::span<double> out) const;
+  /// out[c] = sum of x[v] over the members of c, in ascending vertex order,
+  /// for each of k columns stored vertex-major (entry (v, j) at v*k + j,
+  /// entry (c, j) of out at c*k + j; util/block.hpp). Parallel over
+  /// clusters; deterministic for every thread count, and column j's sums do
+  /// not depend on k.
+  void restrict_sum(std::span<const double> x, std::span<double> out,
+                    int k = 1) const;
 
   /// Structural invariants: offsets monotone, members a permutation of
   /// [0, num_vertices) grouped by cluster, each group ascending.

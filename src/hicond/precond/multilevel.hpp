@@ -92,9 +92,10 @@ class MultilevelSteinerSolver {
   /// z = M^{-1} r: apply_block with k = 1.
   void apply(std::span<const double> r, std::span<double> z) const;
 
-  /// Z = M^{-1} R for k residuals stored column-major (column j occupies
-  /// [j*n, (j+1)*n)): one V-cycle starting from Z = 0. Z is not projected
-  /// off the constants; the PCG that calls it projects.
+  /// Z = M^{-1} R for k residuals stored vertex-major (entry (v, j) at
+  /// v*k + j; util/block.hpp), the layout of every level's blocks: one
+  /// V-cycle starting from Z = 0. Z is not projected off the constants;
+  /// the PCG that calls it projects.
   /// One hierarchy traversal serves all k columns: each level's graph,
   /// inverse diagonal and restriction index are walked once instead of
   /// once per RHS, with the SpMVs blocked through Graph's block
@@ -155,8 +156,8 @@ class MultilevelSteinerSolver {
   void cycle_block(int level, std::span<const double> r, std::span<double> z,
                    int k, Workspace& ws) const;
   /// Exact coarsest-level solve, one column at a time.
-  void coarsest_solve(std::span<const double> r, std::span<double> z,
-                      int k) const;
+  void coarsest_solve(std::span<const double> r, std::span<double> z, int k,
+                      Workspace& ws) const;
 
   std::shared_ptr<State> state_;
 };

@@ -59,7 +59,9 @@ class LaplacianSolver {
   /// (which also provides the initial guesses). The SpMV and the V-cycle
   /// are blocked across the columns, so one hierarchy traversal serves all
   /// k systems; column j is bitwise identical to solve(b_j, x_j). Returns
-  /// one SolveStats per column.
+  /// one SolveStats per column. The blocks inside are vertex-major;
+  /// batched_flexible_pcg_solve converts b and x at its boundary, once per
+  /// call.
   std::vector<SolveStats> solve_batch(std::span<const double> b,
                                       std::span<double> x, int k) const;
 

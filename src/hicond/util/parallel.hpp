@@ -7,10 +7,11 @@
 //  * owner-computes partitioning -- every parallel loop writes only slots
 //    indexed by its own iteration variable; no atomics-ordered accumulation
 //    into shared floats, no `reduction` clauses;
-//  * fixed-block reductions -- parallel_sum splits [0, n) into blocks of
-//    kReductionBlock iterations and combines the block partials in block
-//    order, so floating-point results are bitwise identical for EVERY
-//    thread count, not just for repeated runs at a fixed count.
+//  * fixed-block reductions -- parallel_sums (and parallel_sum, its
+//    one-column case) split [0, n) into blocks of kReductionBlock rows and
+//    combine the block partials in block order, so floating-point results
+//    are bitwise identical for EVERY thread count, not just for repeated
+//    runs at a fixed count.
 //
 // All `#pragma omp parallel` regions in the library are funneled through
 // parallel_region() (enforced by tools/check_project_rules.py) so that a
@@ -26,6 +27,7 @@
 #include <limits>
 #include <memory>
 #include <omp.h>
+#include <span>
 #include <vector>
 
 #include "hicond/util/common.hpp"
@@ -97,42 +99,60 @@ void parallel_for_interleaved(std::size_t n, Fn&& fn) {
   });
 }
 
-/// Block size of the deterministic sum reduction. Fixed by the input length
-/// only -- never by the thread count -- so the combine tree is identical on
-/// every machine.
+/// Block size of the deterministic sum reductions. Fixed by the input
+/// length only -- never by the thread count -- so the combine tree is
+/// identical on every machine. Only the two sums below read it (the
+/// reduction-funnel rule of tools/check_project_rules.py).
 inline constexpr std::size_t kReductionBlock = 2048;
 
-/// Parallel sum-reduction of fn(i) over [0, n).
+/// k-wide fixed-block sum: out[j] = the sum over rows i in [0, n) of column
+/// j's term at row i, for the k = out.size() columns at once.
 ///
-/// The range is split into fixed blocks of kReductionBlock iterations; each
-/// block is summed serially by whichever thread owns it and the block
-/// partials are combined in block order. Both levels of the combine depend
-/// only on n, making the result bitwise identical across thread counts --
-/// the property the thread-matrix tests pin. (A `reduction` clause would
-/// combine in team order, which varies with the thread count, and would also
-/// hide the combine from ThreadSanitizer; see util/tsan.hpp.)
-template <typename Fn>
-double parallel_sum(std::size_t n, Fn&& fn) {
-  if (n == 0) return 0.0;
+/// The rows are split into fixed blocks of kReductionBlock. For each block,
+/// block(lo, hi, partial) adds the terms of rows lo, lo+1, ..., hi-1 of
+/// column j to partial[j] (k slots, zeroed on entry), in that order, by
+/// whichever thread owns the block; the partials of each column are then
+/// combined in block order. Both levels depend only on n, so every column
+/// gets the bits parallel_sum would give it alone, at every thread count
+/// and whatever the other columns hold -- and one pass over the rows
+/// serves all k sums. (A `reduction` clause would combine in team order,
+/// which varies with the thread count, and would also hide the combine
+/// from ThreadSanitizer; see util/tsan.hpp.)
+template <typename Block>
+void parallel_sums(std::size_t n, std::span<double> out, Block&& block) {
+  std::fill(out.begin(), out.end(), 0.0);
+  if (n == 0) return;
+  const std::size_t k = out.size();
   const std::size_t blocks = (n + kReductionBlock - 1) / kReductionBlock;
   if (blocks == 1) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) total += fn(i);
-    return total;
+    block(std::size_t{0}, n, out.data());
+    return;
   }
-  std::vector<double> partial(blocks, 0.0);
+  std::vector<double> partial(blocks * k, 0.0);
   parallel_region([&] {
 #pragma omp for schedule(static) nowait
     for (std::size_t b = 0; b < blocks; ++b) {
       const std::size_t lo = b * kReductionBlock;
-      const std::size_t hi = std::min(n, lo + kReductionBlock);
-      double local = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) local += fn(i);
-      partial[b] = local;
+      block(lo, std::min(n, lo + kReductionBlock), partial.data() + b * k);
     }
   });
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t j = 0; j < k; ++j) out[j] += partial[b * k + j];
+  }
+}
+
+/// Parallel sum-reduction of fn(i) over [0, n): parallel_sums with one
+/// column, bitwise identical across thread counts -- the property the
+/// thread-matrix tests pin.
+template <typename Fn>
+double parallel_sum(std::size_t n, Fn&& fn) {
   double total = 0.0;
-  for (const double p : partial) total += p;
+  parallel_sums(n, {&total, 1},
+                [&](std::size_t lo, std::size_t hi, double* partial) {
+                  double local = 0.0;
+                  for (std::size_t i = lo; i < hi; ++i) local += fn(i);
+                  partial[0] += local;
+                });
   return total;
 }
 

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "block_layout.hpp"
 #include "hicond/graph/generators.hpp"
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/util/rng.hpp"
@@ -275,11 +276,14 @@ TEST(GraphBlockKernels, FusedFormsMatchSpmvThenElementwise) {
     std::vector<double> x(size);
     for (std::size_t i = 0; i < size; ++i) x[i] = scale[i % n] * r[i];
     std::vector<double> ax(size);
-    g.laplacian_apply_block(x, ax, k);
+    g.laplacian_apply_block(test::to_vertex_major(x, k), ax, k);
+    ax = test::to_column_major(ax, k);
     std::vector<double> residual(size);
     for (std::size_t i = 0; i < size; ++i) residual[i] = r[i] - ax[i];
     std::vector<double> out(size, -1.0);
-    g.laplacian_scaled_residual_block(scale, r, out, k);
+    g.laplacian_scaled_residual_block(scale, test::to_vertex_major(r, k), out,
+                                      k);
+    out = test::to_column_major(out, k);
     EXPECT_TRUE(bitwise_equal(out, residual)) << "residual k=" << k;
     // The isolated vertex has no arcs and zero volume: its residual is r.
     for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
@@ -311,12 +315,15 @@ TEST(GraphBlockKernels, ProlongedProductMatchesStoredProlongation) {
       }
     }
     std::vector<double> expected(n * uk);
-    g.laplacian_apply_block(e, expected, k);
+    g.laplacian_apply_block(test::to_vertex_major(e, k), expected, k);
+    expected = test::to_column_major(expected, k);
     for (const int threads : {1, 4}) {
       omp_set_num_threads(threads);
       std::vector<double> y(n * uk, -1.0);
       std::vector<double> energy(uk, -1.0);
-      g.laplacian_apply_prolonged_block(assignment, xc, y, energy, k);
+      g.laplacian_apply_prolonged_block(
+          assignment, test::to_vertex_major(xc, k), y, energy, k);
+      y = test::to_column_major(y, k);
       EXPECT_TRUE(bitwise_equal(y, expected))
           << "k=" << k << " threads=" << threads;
       for (std::size_t j = 0; j < uk; ++j) {

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "block_layout.hpp"
 #include "hicond/certify/certify.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
@@ -232,6 +233,7 @@ TEST(ThreadDeterminism, MultilevelCycleBitIdenticalAcrossThreadCounts) {
                                    static_cast<std::uint64_t>(80 + j));
     rk.insert(rk.end(), col.begin(), col.end());
   }
+  rk = test::to_vertex_major(rk, k);
   auto run = [&] {
     const MultilevelSteinerSolver s = MultilevelSteinerSolver::build(
         build_hierarchy(g, {.coarsest_size = 32}));

@@ -92,6 +92,16 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       `// hicond-tidy: allow(fd-ownership)` (or
                       allow(fd-close)) suppresses it.
 
+  reduction-funnel    `kReductionBlock` may appear in code only in
+                      util/parallel.hpp and under tests/.  Every
+                      floating-point sum over a range goes through
+                      parallel_sums / parallel_sum there, so each one
+                      combines fixed blocks in block order and the
+                      thread-count-invariant combine tree lives in one
+                      place; a loop that splits its own blocks is a
+                      second copy to keep in step by hand.  Comments may
+                      name the constant.
+
 Run: python3 tools/check_project_rules.py [root]
 """
 from __future__ import annotations
@@ -126,6 +136,11 @@ FLOAT_EQ = re.compile(
 # The approved helper and the per-line escape hatch; see util/float_eq.hpp.
 FLOAT_EQ_EXEMPT_FILES = {"src/hicond/util/float_eq.hpp"}
 FLOAT_EQ_ANNOTATION = "float-eq: exact"
+
+# The fixed reduction block size and the sums that read it; see the
+# reduction-funnel rule.
+REDUCTION_FUNNEL_ALLOWED = {"src/hicond/util/parallel.hpp"}
+REDUCTION_BLOCK_USE = re.compile(r"\bkReductionBlock\b")
 
 # Raw I/O syscalls and close() are funneled through these three files; see
 # the syscall-discipline and fd-close rules (and docs/STATIC_ANALYSIS.md).
@@ -289,6 +304,17 @@ def main() -> int:
                             "==/!= against a floating-point literal; use "
                             "util/float_eq.hpp (exact_zero, exactly_equal, "
                             "approx_equal) or annotate '// float-eq: exact'")
+
+            # --- reduction-funnel ---------------------------------------
+            if (
+                rel not in REDUCTION_FUNNEL_ALLOWED
+                and not rel.startswith("tests/")
+            ):
+                for lineno, line in enumerate(lines, 1):
+                    if REDUCTION_BLOCK_USE.search(strip_comments(line)):
+                        err(path, lineno, "reduction-funnel",
+                            "kReductionBlock outside util/parallel.hpp; "
+                            "sum through parallel_sums / parallel_sum")
 
             # --- chrono-timing ------------------------------------------
             if not any(rel.startswith(p) for p in CHRONO_ALLOWED_PREFIXES):
