@@ -722,6 +722,7 @@ class TidyVisitor : public clang::RecursiveASTVisitor<TidyVisitor> {
     if (qn == "hicond::parallel_for" ||
         qn == "hicond::parallel_for_interleaved" ||
         qn == "hicond::parallel_region" || qn == "hicond::parallel_sum" ||
+        qn == "hicond::parallel_sums" || qn == "hicond::for_each_row" ||
         qn == "hicond::parallel_max" || qn == "hicond::parallel_any") {
       checkFunnelLambda(c);
     }
