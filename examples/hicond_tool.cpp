@@ -2,9 +2,9 @@
 //
 //   hicond_tool gen <family> <size> <out.wel> [seed]
 //       families: grid2d grid3d oct planar tree regular
-//   hicond_tool stats <graph.wel>
+//   hicond_tool stats <graph>
 //       vertex/edge counts, degree and weight ranges, connectivity
-//   hicond_tool decompose <graph.wel> [k] [out.assignment]
+//   hicond_tool decompose <graph> [k] [out.assignment]
 //       one-shot decomposition (--backend selects the construction;
 //       default is the Section 3.1 fixed-degree algorithm) + quality
 //       report; optionally writes "vertex cluster" lines
@@ -12,7 +12,7 @@
 //       run every registered partitioner backend on the graph and emit a
 //       JSON score table: phi bounds, reduction factor, cut fraction,
 //       certify-oracle verdict, PCG iterations and build times
-//   hicond_tool solve <graph.wel> [precond]
+//   hicond_tool solve <graph> [precond]
 //       solve A x = b (random mean-free b) with precond in
 //       {none, jacobi, steiner, multilevel, subgraph}
 //   hicond_tool snapshot-convert <in> <out>
@@ -41,8 +41,9 @@
 //                      (JSON with --json, text otherwise); exits nonzero if
 //                      certification fails
 //
-// The .wel format is the library's weighted edge list (see
-// hicond/graph/io.hpp).
+// Every <graph> argument is read by extension (serve::read_graph_auto):
+// .hsnap is the binary snapshot, .metis/.graph the METIS text format, and
+// anything else the library's weighted edge list (hicond/graph/io.hpp).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,10 +91,10 @@ int usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  hicond_tool gen <family> <size> <out.wel> [seed]\n"
-               "  hicond_tool stats <graph.wel>\n"
-               "  hicond_tool decompose <graph.wel> [k] [out.assignment]\n"
+               "  hicond_tool stats <graph>\n"
+               "  hicond_tool decompose <graph> [k] [out.assignment]\n"
                "  hicond_tool compare-backends <graph> [k]\n"
-               "  hicond_tool solve <graph.wel> [precond]\n"
+               "  hicond_tool solve <graph> [precond]\n"
                "  hicond_tool snapshot-convert <in> <out>\n"
                "  hicond_tool fingerprint <graph>\n"
                "  hicond_tool mutate <in> <updates.json> <out>\n"
@@ -139,7 +140,7 @@ int cmd_gen(int argc, char** argv) {
 
 int cmd_stats(int argc, char** argv) {
   if (argc < 3) return usage();
-  const Graph g = read_graph_file(argv[2]);
+  const Graph g = serve::read_graph_auto(argv[2]);
   double w_min = 1e300;
   double w_max = 0.0;
   for (const auto& e : g.edge_list()) {
@@ -160,7 +161,7 @@ int cmd_stats(int argc, char** argv) {
 
 int cmd_decompose(int argc, char** argv) {
   if (argc < 3) return usage();
-  const Graph g = read_graph_file(argv[2]);
+  const Graph g = serve::read_graph_auto(argv[2]);
   const vidx k = argc > 3 ? static_cast<vidx>(std::atoi(argv[3])) : 4;
   partition::BackendOptions bo;
   bo.max_cluster_size = k;
@@ -236,7 +237,7 @@ int cmd_decompose(int argc, char** argv) {
 
 int cmd_solve(int argc, char** argv) {
   if (argc < 3) return usage();
-  const Graph g = read_graph_file(argv[2]);
+  const Graph g = serve::read_graph_auto(argv[2]);
   const std::string kind = argc > 3 ? argv[3] : "steiner";
   if (!is_connected(g)) {
     std::fprintf(stderr, "solve requires a connected graph\n");
@@ -311,17 +312,6 @@ int cmd_solve(int argc, char** argv) {
   return stats.converged ? 0 : 1;
 }
 
-// Extension-dispatched reader shared by compare-backends, snapshot-convert
-// and fingerprint: .hsnap is the binary snapshot, .metis/.graph the METIS
-// text format, anything else the weighted edge list.
-Graph read_any_graph(const std::string& path) {
-  if (path.ends_with(".hsnap")) return serve::read_snapshot_file(path);
-  if (path.ends_with(".metis") || path.ends_with(".graph")) {
-    return read_metis_file(path);
-  }
-  return read_graph_file(path);
-}
-
 // Score every registered backend on one graph: decomposition quality (phi
 // bounds, reduction, cut fraction, certify-oracle verdict) and end-to-end
 // solver behaviour (hierarchy build time, PCG iterations on a shared
@@ -329,7 +319,7 @@ Graph read_any_graph(const std::string& path) {
 // bench tooling. Exits nonzero if any backend fails certification.
 int cmd_compare_backends(int argc, char** argv) {
   if (argc < 3) return usage();
-  const Graph g = read_any_graph(argv[2]);
+  const Graph g = serve::read_graph_auto(argv[2]);
   const vidx k = argc > 3 ? static_cast<vidx>(std::atoi(argv[3])) : 4;
   if (!is_connected(g)) {
     std::fprintf(stderr, "compare-backends requires a connected graph\n");
@@ -393,27 +383,9 @@ int cmd_compare_backends(int argc, char** argv) {
   return all_certified ? 0 : 1;
 }
 
-int cmd_snapshot_convert(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string in = argv[2];
-  const std::string out = argv[3];
-  const Graph g = read_any_graph(in);
-  if (out.ends_with(".hsnap")) {
-    serve::write_snapshot_file(out, g);
-  } else if (out.ends_with(".metis") || out.ends_with(".graph")) {
-    write_metis_file(out, g);
-  } else {
-    write_graph_file(out, g);
-  }
-  std::fprintf(stderr, "%s -> %s (n=%lld, m=%lld, fingerprint %s)\n",
-               in.c_str(), out.c_str(),
-               static_cast<long long>(g.num_vertices()),
-               static_cast<long long>(g.num_edges()),
-               serve::fingerprint_hex(serve::graph_fingerprint(g)).c_str());
-  return 0;
-}
-
-// Extension-dispatched writer mirroring read_any_graph.
+// Extension-dispatched writer mirroring serve::read_graph_auto: .hsnap is
+// the binary snapshot, .metis/.graph the METIS text format, anything else
+// the weighted edge list.
 void write_any_graph(const std::string& path, const Graph& g) {
   if (path.ends_with(".hsnap")) {
     serve::write_snapshot_file(path, g);
@@ -424,9 +396,23 @@ void write_any_graph(const std::string& path, const Graph& g) {
   }
 }
 
+int cmd_snapshot_convert(int argc, char** argv) {
+  if (argc < 4) return usage();
+  const std::string in = argv[2];
+  const std::string out = argv[3];
+  const Graph g = serve::read_graph_auto(in);
+  write_any_graph(out, g);
+  std::fprintf(stderr, "%s -> %s (n=%lld, m=%lld, fingerprint %s)\n",
+               in.c_str(), out.c_str(),
+               static_cast<long long>(g.num_vertices()),
+               static_cast<long long>(g.num_edges()),
+               serve::fingerprint_hex(serve::graph_fingerprint(g)).c_str());
+  return 0;
+}
+
 int cmd_mutate(int argc, char** argv) {
   if (argc < 5) return usage();
-  const Graph g = read_any_graph(argv[2]);
+  const Graph g = serve::read_graph_auto(argv[2]);
   std::ifstream in(argv[3]);
   if (!in.good()) {
     std::fprintf(stderr, "cannot read %s\n", argv[3]);
@@ -457,7 +443,7 @@ int cmd_mutate(int argc, char** argv) {
 
 int cmd_fingerprint(int argc, char** argv) {
   if (argc < 3) return usage();
-  const Graph g = read_any_graph(argv[2]);
+  const Graph g = serve::read_graph_auto(argv[2]);
   const std::uint64_t fp = serve::graph_fingerprint(g);
   if (g_flags.json) {
     obs::JsonWriter w;

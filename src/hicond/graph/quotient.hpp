@@ -4,8 +4,8 @@
 // graph Q (Definition 3.1) has one vertex r_i per cluster and edge weights
 // w(r_i, r_j) = cap(V_i, V_j). Algebraically Q = R' A R where R is the 0-1
 // membership matrix (Remark 1); quotient_graph assembles the same matrix
-// directly, one owner-computed row per cluster, and the tests check it
-// against the algebraic product spgemm(spgemm(R', L), R) of la/spgemm.
+// directly, one owner-computed row per cluster, and the tests check every
+// entry of it against the dense product R' L R.
 #pragma once
 
 #include <vector>

@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "hicond/util/common.hpp"
-#include "hicond/util/float_eq.hpp"
 #include "hicond/util/parallel.hpp"
 
 namespace hicond {
@@ -21,22 +20,6 @@ void CsrMatrix::multiply(std::span<const double> x, std::span<double> y) const {
     }
     y[i] = acc;
   });
-}
-
-void CsrMatrix::multiply_transpose(std::span<const double> x,
-                                   std::span<double> y) const {
-  HICOND_CHECK(x.size() == static_cast<std::size_t>(rows), "x size mismatch");
-  HICOND_CHECK(y.size() == static_cast<std::size_t>(cols), "y size mismatch");
-  std::fill(y.begin(), y.end(), 0.0);
-  for (vidx i = 0; i < rows; ++i) {
-    const double xi = x[static_cast<std::size_t>(i)];
-    if (exact_zero(xi)) continue;
-    for (eidx k = offsets[static_cast<std::size_t>(i)];
-         k < offsets[static_cast<std::size_t>(i) + 1]; ++k) {
-      y[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])] +=
-          values[static_cast<std::size_t>(k)] * xi;
-    }
-  }
 }
 
 double CsrMatrix::at(vidx i, vidx j) const {
@@ -152,81 +135,6 @@ CsrMatrix csr_laplacian(const Graph& g) {
     }
   });
   return m;
-}
-
-CsrMatrix csr_normalized_laplacian(const Graph& g) {
-  CsrMatrix m = csr_laplacian(g);
-  std::vector<double> inv_sqrt(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  for (vidx v = 0; v < g.num_vertices(); ++v) {
-    if (g.vol(v) > 0.0) {
-      inv_sqrt[static_cast<std::size_t>(v)] = 1.0 / std::sqrt(g.vol(v));
-    }
-  }
-  parallel_for(static_cast<std::size_t>(m.rows), [&](std::size_t i) {
-    for (eidx k = m.offsets[i]; k < m.offsets[i + 1]; ++k) {
-      const auto j =
-          static_cast<std::size_t>(m.col_idx[static_cast<std::size_t>(k)]);
-      m.values[static_cast<std::size_t>(k)] *= inv_sqrt[i] * inv_sqrt[j];
-    }
-  });
-  return m;
-}
-
-CsrMatrix membership_matrix(std::span<const vidx> assignment, vidx m) {
-  CsrMatrix r;
-  r.rows = static_cast<vidx>(assignment.size());
-  r.cols = m;
-  r.offsets.resize(assignment.size() + 1);
-  r.col_idx.resize(assignment.size());
-  r.values.assign(assignment.size(), 1.0);
-  r.offsets[0] = 0;
-  for (std::size_t v = 0; v < assignment.size(); ++v) {
-    HICOND_CHECK(assignment[v] >= 0 && assignment[v] < m,
-                 "assignment value out of range");
-    r.col_idx[v] = assignment[v];
-    r.offsets[v + 1] = static_cast<eidx>(v) + 1;
-  }
-  return r;
-}
-
-CsrMatrix csr_transpose(const CsrMatrix& a) {
-  HICOND_RUN_VALIDATION(expensive, a.validate());
-  CsrMatrix t;
-  t.rows = a.cols;
-  t.cols = a.rows;
-  t.offsets.assign(static_cast<std::size_t>(a.cols) + 1, 0);
-  for (vidx j : a.col_idx) ++t.offsets[static_cast<std::size_t>(j) + 1];
-  for (vidx c = 0; c < a.cols; ++c) {
-    t.offsets[static_cast<std::size_t>(c) + 1] +=
-        t.offsets[static_cast<std::size_t>(c)];
-  }
-  t.col_idx.resize(a.col_idx.size());
-  t.values.resize(a.values.size());
-  std::vector<eidx> cursor(t.offsets.begin(), t.offsets.end() - 1);
-  for (vidx i = 0; i < a.rows; ++i) {
-    for (eidx k = a.offsets[static_cast<std::size_t>(i)];
-         k < a.offsets[static_cast<std::size_t>(i) + 1]; ++k) {
-      const auto j = static_cast<std::size_t>(
-          a.col_idx[static_cast<std::size_t>(k)]);
-      const auto pos = static_cast<std::size_t>(cursor[j]++);
-      t.col_idx[pos] = i;
-      t.values[pos] = a.values[static_cast<std::size_t>(k)];
-    }
-  }
-  return t;
-}
-
-std::vector<double> csr_row_sums(const CsrMatrix& a) {
-  HICOND_RUN_VALIDATION(expensive, a.validate());
-  std::vector<double> sums(static_cast<std::size_t>(a.rows), 0.0);
-  parallel_for(static_cast<std::size_t>(a.rows), [&](std::size_t i) {
-    double acc = 0.0;
-    for (eidx k = a.offsets[i]; k < a.offsets[i + 1]; ++k) {
-      acc += a.values[static_cast<std::size_t>(k)];
-    }
-    sums[i] = acc;
-  });
-  return sums;
 }
 
 }  // namespace hicond

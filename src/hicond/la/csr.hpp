@@ -1,6 +1,5 @@
 // General sparse matrices in CSR form, plus the assembly routines that turn
-// graphs and cluster memberships into matrices (Laplacians, the 0-1
-// membership matrix R of Section 3/4, normalized Laplacians).
+// graphs and triplet lists into matrices.
 #pragma once
 
 #include <span>
@@ -28,10 +27,6 @@ struct CsrMatrix {
   /// y = M x, parallel over rows.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
-  /// y = M' x (column-major accumulation; sequential).
-  void multiply_transpose(std::span<const double> x,
-                          std::span<double> y) const;
-
   /// Entry lookup (binary search within the row). 0 when absent.
   [[nodiscard]] double at(vidx i, vidx j) const;
 
@@ -46,20 +41,5 @@ struct CsrMatrix {
 
 /// Laplacian of a graph as an explicit CSR matrix.
 [[nodiscard]] CsrMatrix csr_laplacian(const Graph& g);
-
-/// Normalized Laplacian D^{-1/2} A_G D^{-1/2} as CSR.
-[[nodiscard]] CsrMatrix csr_normalized_laplacian(const Graph& g);
-
-/// n x m 0-1 cluster membership matrix R with R(v, c) = 1 iff
-/// assignment[v] == c.
-[[nodiscard]] CsrMatrix membership_matrix(std::span<const vidx> assignment,
-                                          vidx m);
-
-/// Transpose (sequential counting sort over columns).
-[[nodiscard]] CsrMatrix csr_transpose(const CsrMatrix& a);
-
-/// Dense copy of a sparse matrix (for the small exact-verification paths).
-class DenseMatrix;
-[[nodiscard]] std::vector<double> csr_row_sums(const CsrMatrix& a);
 
 }  // namespace hicond

@@ -109,40 +109,6 @@ PencilExtremes lanczos_pencil_extremes(const LinearOperator& apply_a,
   return result;
 }
 
-double lanczos_lambda_max(const LinearOperator& apply_a, vidx n, int steps,
-                          std::uint64_t seed) {
-  HICOND_CHECK(n >= 2, "operator needs n >= 2");
-  const auto sz = static_cast<std::size_t>(n);
-  steps = std::min(steps, static_cast<int>(n) - 1);
-  Rng rng(seed);
-  std::vector<double> q(sz);
-  for (auto& x : q) x = rng.uniform(-1.0, 1.0);
-  la::remove_mean(q);
-  const double q0 = la::norm2(q);
-  if (!(q0 > 0.0)) return 0.0;
-  la::scale(1.0 / q0, q);
-
-  std::vector<std::vector<double>> basis{q};
-  std::vector<double> alpha;
-  std::vector<double> beta;
-  std::vector<double> w(sz);
-  for (int j = 0; j < steps; ++j) {
-    apply_a(basis.back(), w);
-    la::remove_mean(w);
-    alpha.push_back(la::dot(basis.back(), w));
-    for (const auto& b : basis) {
-      la::axpy(-la::dot(b, w), b, w);
-    }
-    const double nb = la::norm2(w);
-    if (!(nb > 1e-14)) break;
-    beta.push_back(nb);
-    la::scale(1.0 / nb, w);
-    basis.push_back(w);
-  }
-  if (beta.size() == alpha.size()) beta.pop_back();
-  return tridiag_extremes(alpha, beta).second;
-}
-
 double condition_number_estimate(const LinearOperator& apply_a,
                                  const LinearOperator& solve_b, vidx n,
                                  int steps, std::uint64_t seed) {

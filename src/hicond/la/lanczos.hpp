@@ -28,11 +28,6 @@ struct PencilExtremes {
     const LinearOperator& apply_a, const LinearOperator& solve_b, vidx n,
     int steps = 40, std::uint64_t seed = 7);
 
-/// lambda_max of a single symmetric operator on the complement of the
-/// constant vector (plain Lanczos).
-[[nodiscard]] double lanczos_lambda_max(const LinearOperator& apply_a, vidx n,
-                                        int steps = 40, std::uint64_t seed = 7);
-
 /// Condition number estimate kappa(A, B) = lambda_max(A,B) / lambda_min(A,B)
 /// computed from a single Lanczos run on the pencil.
 [[nodiscard]] double condition_number_estimate(const LinearOperator& apply_a,

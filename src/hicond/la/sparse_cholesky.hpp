@@ -31,11 +31,6 @@ class SparseLDL {
 
   [[nodiscard]] vidx dim() const noexcept { return n_; }
 
-  /// Nonzeros in the strictly-lower factor (a fill metric).
-  [[nodiscard]] eidx factor_nnz() const noexcept {
-    return static_cast<eidx>(l_idx_.size());
-  }
-
  private:
   vidx n_ = 0;
   std::vector<vidx> perm_;      // new -> old
@@ -63,9 +58,6 @@ class LaplacianDirectSolver {
   void apply(std::span<const double> b, std::span<double> x) const;
 
   [[nodiscard]] vidx dim() const noexcept { return n_; }
-  [[nodiscard]] eidx factor_nnz() const noexcept {
-    return ldl_.factor_nnz();
-  }
 
  private:
   vidx n_ = 0;

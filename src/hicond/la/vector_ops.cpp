@@ -19,11 +19,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   parallel_for(x.size(), [&](std::size_t i) { y[i] += alpha * x[i]; });
 }
 
-void xpby(std::span<const double> x, double beta, std::span<double> y) {
-  HICOND_CHECK(x.size() == y.size(), "xpby size mismatch");
-  parallel_for(x.size(), [&](std::size_t i) { y[i] = x[i] + beta * y[i]; });
-}
-
 void scale(double alpha, std::span<double> x) {
   parallel_for(x.size(), [&](std::size_t i) { x[i] *= alpha; });
 }
@@ -43,18 +38,6 @@ void remove_mean(std::span<double> x) {
       parallel_sum(x.size(), [&](std::size_t i) { return x[i]; }) /
       static_cast<double>(x.size());
   parallel_for(x.size(), [&](std::size_t i) { x[i] -= mean; });
-}
-
-void remove_weighted_mean(std::span<double> x, std::span<const double> w) {
-  HICOND_CHECK(x.size() == w.size(), "size mismatch");
-  if (x.empty()) return;
-  const double wx =
-      parallel_sum(x.size(), [&](std::size_t i) { return w[i] * x[i]; });
-  const double ww =
-      parallel_sum(x.size(), [&](std::size_t i) { return w[i]; });
-  if (ww <= 0.0) return;
-  const double shift = wx / ww;
-  parallel_for(x.size(), [&](std::size_t i) { x[i] -= shift; });
 }
 
 double max_abs_diff(std::span<const double> x, std::span<const double> y) {

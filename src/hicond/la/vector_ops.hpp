@@ -15,9 +15,6 @@ namespace hicond::la {
 /// y += alpha * x.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
-/// y = x + beta * y (the PCG direction update).
-void xpby(std::span<const double> x, double beta, std::span<double> y);
-
 void scale(double alpha, std::span<double> x);
 
 void copy(std::span<const double> src, std::span<double> dst);
@@ -26,9 +23,6 @@ void fill(std::span<double> x, double value);
 
 /// Subtract the mean: projects onto the complement of the constant vector.
 void remove_mean(std::span<double> x);
-
-/// Subtract the weighted mean so that sum_i w_i x_i = 0.
-void remove_weighted_mean(std::span<double> x, std::span<const double> w);
 
 /// Max |x_i - y_i|.
 [[nodiscard]] double max_abs_diff(std::span<const double> x,

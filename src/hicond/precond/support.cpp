@@ -2,7 +2,6 @@
 
 #include "hicond/graph/builder.hpp"
 #include "hicond/la/dense_eigen.hpp"
-#include "hicond/la/lanczos.hpp"
 #include "hicond/precond/schur.hpp"
 
 namespace hicond {
@@ -12,13 +11,6 @@ double support_sigma_dense(const Graph& a, const Graph& b) {
   HICOND_RUN_VALIDATION(expensive, a.validate());
   HICOND_RUN_VALIDATION(expensive, b.validate());
   return lambda_max_laplacian_pencil(dense_laplacian(a), dense_laplacian(b));
-}
-
-double condition_number_dense(const Graph& a, const Graph& b) {
-  const auto eig =
-      generalized_eigen_laplacian(dense_laplacian(a), dense_laplacian(b));
-  HICOND_CHECK(eig.values.front() > 0.0, "pencil not definite");
-  return eig.values.back() / eig.values.front();
 }
 
 double steiner_support_dense(const Graph& a, const Decomposition& p) {
@@ -33,12 +25,6 @@ double steiner_condition_dense(const Graph& a, const Decomposition& p) {
   const auto eig = generalized_eigen_laplacian(bs, dense_laplacian(a));
   HICOND_CHECK(eig.values.front() > 0.0, "pencil not definite");
   return eig.values.back() / eig.values.front();
-}
-
-double support_sigma_estimate(const LinearOperator& apply_a,
-                              const LinearOperator& solve_b, vidx n,
-                              int steps) {
-  return lanczos_pencil_extremes(apply_a, solve_b, n, steps).lambda_max;
 }
 
 double steiner_support_bound(double phi, double gamma) {

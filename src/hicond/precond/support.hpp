@@ -6,13 +6,12 @@
 // onto the original vertices -- by Lemma 3.2 this is what the Gremban-style
 // preconditioned iteration sees.
 //
-// The module provides exact dense evaluation for small graphs, Lanczos
-// estimation at scale, and the closed-form upper bounds of Lemma 3.4 and
-// Theorem 3.5 so benchmarks can print measured-vs-bound tables.
+// The module provides exact dense evaluation for small graphs and the
+// closed-form upper bounds of Lemma 3.4 and Theorem 3.5 so benchmarks can
+// print measured-vs-bound tables.
 #pragma once
 
 #include "hicond/graph/graph.hpp"
-#include "hicond/la/cg.hpp"
 #include "hicond/partition/decomposition.hpp"
 
 namespace hicond {
@@ -20,9 +19,6 @@ namespace hicond {
 /// Exact sigma(A, B) = lambda_max(A, B) for two connected Laplacians on the
 /// same vertex set (dense, O(n^3)).
 [[nodiscard]] double support_sigma_dense(const Graph& a, const Graph& b);
-
-/// Exact condition number kappa(A, B) = sigma(A, B) * sigma(B, A).
-[[nodiscard]] double condition_number_dense(const Graph& a, const Graph& b);
 
 /// Exact sigma(B_S, A) for the Steiner graph of decomposition p: the Schur
 /// complement is formed densely and the pencil solved exactly.
@@ -32,11 +28,6 @@ namespace hicond {
 /// Exact kappa(B_S, A) for the Steiner graph of decomposition p.
 [[nodiscard]] double steiner_condition_dense(const Graph& a,
                                              const Decomposition& p);
-
-/// sigma(A, B) estimate via Lanczos given an exact B-pseudo-solver.
-[[nodiscard]] double support_sigma_estimate(const LinearOperator& apply_a,
-                                            const LinearOperator& solve_b,
-                                            vidx n, int steps = 40);
 
 /// Theorem 3.5 upper bound for a (phi, gamma) decomposition:
 /// sigma(S_P, A) <= 3 (1 + 2 / (gamma phi^2)).

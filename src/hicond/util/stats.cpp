@@ -79,14 +79,4 @@ double Histogram::quantile(double q) const {
   return stats_.max();
 }
 
-double geometric_mean(std::span<const double> values) {
-  HICOND_CHECK(!values.empty(), "geometric mean of empty sample");
-  double log_sum = 0.0;
-  for (double v : values) {
-    HICOND_CHECK(v > 0.0, "geometric mean requires positive values");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 }  // namespace hicond

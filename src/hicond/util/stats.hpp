@@ -32,9 +32,6 @@ class OnlineStats {
 /// Rejects empty input (invalid_argument_error), never reads past the span.
 [[nodiscard]] double percentile(std::span<const double> values, double p);
 
-/// Geometric mean; requires all values > 0.
-[[nodiscard]] double geometric_mean(std::span<const double> values);
-
 /// Log-bucketed histogram over positive magnitudes (latencies, sizes, phi
 /// values, ...). Bucket i covers [lo * 2^i, lo * 2^(i+1)); values below `lo`
 /// (including non-positive ones) land in bucket 0, values at or above `hi`

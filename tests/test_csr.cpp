@@ -51,57 +51,5 @@ TEST(CsrLaplacian, MultiplyMatchesGraphApply) {
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y1[i], y2[i], 1e-10);
 }
 
-TEST(CsrNormalizedLaplacian, MatchesDense) {
-  const Graph g = gen::star(6, gen::WeightSpec::uniform(1.0, 4.0), 8);
-  const CsrMatrix sp = csr_normalized_laplacian(g);
-  const DenseMatrix d = dense_normalized_laplacian(g);
-  for (vidx i = 0; i < 6; ++i) {
-    for (vidx j = 0; j < 6; ++j) EXPECT_NEAR(sp.at(i, j), d(i, j), 1e-12);
-  }
-}
-
-TEST(MembershipMatrix, OneHotRows) {
-  std::vector<vidx> assignment{1, 0, 2, 1};
-  const CsrMatrix r = membership_matrix(assignment, 3);
-  r.validate();
-  EXPECT_EQ(r.rows, 4);
-  EXPECT_EQ(r.cols, 3);
-  EXPECT_EQ(r.nnz(), 4);
-  EXPECT_DOUBLE_EQ(r.at(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(r.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(r.at(2, 2), 1.0);
-}
-
-TEST(MembershipMatrix, TransposeActsAsClusterSum) {
-  std::vector<vidx> assignment{0, 1, 0, 1, 0};
-  const CsrMatrix r = membership_matrix(assignment, 2);
-  std::vector<double> x{1.0, 2.0, 3.0, 4.0, 5.0};
-  std::vector<double> sums(2);
-  r.multiply_transpose(x, sums);
-  EXPECT_DOUBLE_EQ(sums[0], 9.0);
-  EXPECT_DOUBLE_EQ(sums[1], 6.0);
-}
-
-TEST(CsrTranspose, InvolutionAndCorrectness) {
-  std::vector<std::tuple<vidx, vidx, double>> t{
-      {0, 2, 1.0}, {1, 0, 2.0}, {2, 1, 3.0}, {0, 0, 4.0}};
-  const CsrMatrix m = csr_from_triplets(3, 3, t);
-  const CsrMatrix mt = csr_transpose(m);
-  mt.validate();
-  for (vidx i = 0; i < 3; ++i) {
-    for (vidx j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(mt.at(j, i), m.at(i, j));
-  }
-  const CsrMatrix mtt = csr_transpose(mt);
-  for (vidx i = 0; i < 3; ++i) {
-    for (vidx j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(mtt.at(i, j), m.at(i, j));
-  }
-}
-
-TEST(CsrRowSums, LaplacianRowsSumToZero) {
-  const Graph g = gen::random_tree(30, gen::WeightSpec::uniform(1.0, 9.0), 4);
-  const auto sums = csr_row_sums(csr_laplacian(g));
-  for (double s : sums) EXPECT_NEAR(s, 0.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace hicond

@@ -13,7 +13,6 @@
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/io.hpp"
 #include "hicond/la/csr.hpp"
-#include "hicond/la/spgemm.hpp"
 #include "hicond/partition/planar.hpp"
 #include "hicond/tree/low_stretch.hpp"
 #include "hicond/tree/mst.hpp"
@@ -56,14 +55,6 @@ TEST(CsrMatrix, EmptyRowsMultiplyCleanly) {
   EXPECT_DOUBLE_EQ(y[0], 0.0);
   EXPECT_DOUBLE_EQ(y[1], 5.0);
   EXPECT_DOUBLE_EQ(y[2], 0.0);
-}
-
-TEST(Spgemm, ZeroMatrixProduct) {
-  const CsrMatrix zero = csr_from_triplets(3, 3, {});
-  const CsrMatrix l = csr_laplacian(gen::path(3));
-  const CsrMatrix p = spgemm(zero, l);
-  p.validate();
-  EXPECT_EQ(p.nnz(), 0);
 }
 
 TEST(ConductanceSweep, ConstantScoresStillValid) {

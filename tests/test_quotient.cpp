@@ -3,9 +3,21 @@
 #include <gtest/gtest.h>
 
 #include "hicond/graph/generators.hpp"
+#include "hicond/la/dense.hpp"
 
 namespace hicond {
 namespace {
+
+/// Q = R' L R with R the dense 0-1 membership matrix: Remark 1's algebraic
+/// quotient, the reference quotient_graph is held to.
+DenseMatrix algebraic_quotient(const Graph& g,
+                               std::span<const vidx> assignment, vidx m) {
+  DenseMatrix r(g.num_vertices(), m);
+  for (vidx v = 0; v < g.num_vertices(); ++v) {
+    r(v, assignment[static_cast<std::size_t>(v)]) = 1.0;
+  }
+  return r.transpose() * dense_laplacian(g) * r;
+}
 
 TEST(Quotient, PathContractsToPath) {
   const Graph g = gen::path(6);  // unit weights
@@ -63,6 +75,44 @@ TEST(Quotient, RejectsUnassigned) {
   const Graph g = gen::path(3);
   std::vector<vidx> assignment{0, -1, 1};
   EXPECT_THROW((void)quotient_graph(g, assignment), invalid_argument_error);
+}
+
+TEST(QuotientTripleProduct, EqualsRtAR) {
+  // The quotient graph's Laplacian is R' A R entry for entry: off-diagonal
+  // -cap(V_i, V_j), diagonal cap(V_i, V - V_i).
+  const Graph g =
+      gen::grid2d(4, 4, gen::WeightSpec::uniform(0.5, 2.5), 11);
+  std::vector<vidx> assignment(16);
+  for (vidx v = 0; v < 16; ++v) {
+    assignment[static_cast<std::size_t>(v)] = (v % 4) / 2 + 2 * (v / 8);
+  }
+  const DenseMatrix q = algebraic_quotient(g, assignment, 4);
+  const DenseMatrix direct = dense_laplacian(quotient_graph(g, assignment));
+  EXPECT_LT(direct.frobenius_distance(q), 1e-10);
+}
+
+TEST(QuotientTripleProduct, OffDiagonalMatchesQuotientGraph) {
+  const Graph g = gen::grid3d(3, 3, 3, gen::WeightSpec::uniform(1.0, 2.0), 7);
+  std::vector<vidx> assignment(27);
+  for (vidx v = 0; v < 27; ++v) assignment[static_cast<std::size_t>(v)] = v / 9;
+  const DenseMatrix q_alg = algebraic_quotient(g, assignment, 3);
+  const Graph q_graph = quotient_graph(g, assignment);
+  for (vidx i = 0; i < 3; ++i) {
+    for (vidx j = 0; j < 3; ++j) {
+      if (i == j) continue;
+      EXPECT_NEAR(q_alg(i, j), -q_graph.edge_weight(i, j), 1e-10);
+    }
+  }
+}
+
+TEST(QuotientTripleProduct, DiagonalIsClusterBoundary) {
+  // Row sums of R'AR are zero, so diagonal = cap(V_i, everything else).
+  const Graph g = gen::grid2d(4, 2, gen::WeightSpec::unit(), 1);
+  std::vector<vidx> assignment{0, 0, 1, 1, 0, 0, 1, 1};
+  const DenseMatrix q = algebraic_quotient(g, assignment, 2);
+  EXPECT_NEAR(q(0, 0), -q(0, 1), 1e-12);
+  EXPECT_NEAR(q(1, 1), -q(1, 0), 1e-12);
+  EXPECT_DOUBLE_EQ(q(0, 1), -2.0);  // two crossing unit edges
 }
 
 }  // namespace

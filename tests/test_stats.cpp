@@ -114,15 +114,5 @@ TEST(Histogram, RejectsBadConstructionAndEmptyQuantile) {
   EXPECT_THROW((void)filled.quantile(1.1), invalid_argument_error);
 }
 
-TEST(GeometricMean, KnownValue) {
-  const std::vector<double> v{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geometric_mean(v), 4.0, 1e-12);
-}
-
-TEST(GeometricMean, RejectsNonPositive) {
-  const std::vector<double> v{1.0, 0.0};
-  EXPECT_THROW((void)geometric_mean(v), invalid_argument_error);
-}
-
 }  // namespace
 }  // namespace hicond

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/quotient.hpp"
@@ -104,30 +106,44 @@ TEST(SteinerPreconditioner, ApplyIsSymmetric) {
   EXPECT_NEAR(la::dot(r2, z1), la::dot(r1, z2), 1e-9);
 }
 
-TEST(SteinerPreconditioner, GrembanReductionConsistency) {
-  // Solving S_P [x; y] = [r; 0] exactly must give x = apply(r) up to the
-  // constant shift: verify via the explicit Steiner graph and a dense solve.
-  const Graph a = gen::grid2d(3, 3, gen::WeightSpec::uniform(1.0, 2.0), 11);
-  const Decomposition p = halves(9);
+// Solving S_P [x; y] = [r; 0] exactly must give x = apply(r) up to a
+// constant shift: the closed-form apply is the Gremban reduction of the
+// extended Steiner system (Definition 3.1, Lemma 3.2). Checked against a
+// dense pseudo-solve of the explicit Steiner graph.
+void expect_apply_matches_steiner_solve(const Graph& a, const Decomposition& p,
+                                        std::uint64_t seed, int trials) {
   const SteinerPreconditioner sp = SteinerPreconditioner::build(a, p);
   const Graph s = sp.steiner_graph();
   ASSERT_TRUE(is_connected(s));
-  Rng rng(7);
-  std::vector<double> r(9);
-  for (auto& v : r) v = rng.uniform(-1.0, 1.0);
-  la::remove_mean(r);
-  // Dense pseudo-solve of the full Steiner system with padded rhs.
-  std::vector<double> padded(11, 0.0);
-  for (std::size_t i = 0; i < 9; ++i) padded[i] = r[i];
+  ASSERT_EQ(s.num_vertices(), a.num_vertices() + sp.num_steiner_vertices());
   const DenseMatrix ls = dense_laplacian(s);
-  const auto full = laplacian_pseudo_solve_dense(ls, padded);
-  std::vector<double> z(9);
-  sp.apply(r, z);
-  // Compare up to an additive constant on the first 9 entries.
-  const double shift = full[0] - z[0];
-  for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_NEAR(full[i] - z[i], shift, 1e-8);
+  const auto n = static_cast<std::size_t>(a.num_vertices());
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    std::vector<double> r(n);
+    for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+    la::remove_mean(r);
+    std::vector<double> padded(static_cast<std::size_t>(s.num_vertices()),
+                               0.0);
+    std::copy(r.begin(), r.end(), padded.begin());
+    const auto full = laplacian_pseudo_solve_dense(ls, padded);
+    std::vector<double> z(n);
+    sp.apply(r, z);
+    const double shift = full[0] - z[0];
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(full[i] - z[i], shift, 1e-8) << "trial " << trial;
+    }
   }
+}
+
+TEST(SteinerPreconditioner, GrembanReductionConsistency) {
+  const Graph halves_graph =
+      gen::grid2d(3, 3, gen::WeightSpec::uniform(1.0, 2.0), 11);
+  expect_apply_matches_steiner_solve(halves_graph, halves(9), 7, 1);
+  // A fixed-degree decomposition with many clusters.
+  const Graph a = gen::grid2d(6, 5, gen::WeightSpec::uniform(1.0, 3.0), 3);
+  const auto fd = fixed_degree_decomposition(a, {.max_cluster_size = 4});
+  expect_apply_matches_steiner_solve(a, fd.decomposition, 5, 5);
 }
 
 TEST(SteinerPreconditioner, SchurComplementConsistentWithEliminationIdentity) {

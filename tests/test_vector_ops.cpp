@@ -28,13 +28,6 @@ TEST(VectorOps, Axpy) {
   EXPECT_EQ(y, (std::vector<double>{12.0, 24.0, 36.0}));
 }
 
-TEST(VectorOps, Xpby) {
-  std::vector<double> x{1.0, 1.0};
-  std::vector<double> y{3.0, 5.0};
-  la::xpby(x, 2.0, y);  // y = x + 2y
-  EXPECT_EQ(y, (std::vector<double>{7.0, 11.0}));
-}
-
 TEST(VectorOps, ScaleCopyFill) {
   std::vector<double> x{2.0, 4.0};
   la::scale(0.5, x);
@@ -53,13 +46,6 @@ TEST(VectorOps, RemoveMean) {
   for (double v : x) sum += v;
   EXPECT_NEAR(sum, 0.0, 1e-12);
   EXPECT_DOUBLE_EQ(x[0], -2.0);
-}
-
-TEST(VectorOps, RemoveWeightedMean) {
-  std::vector<double> x{1.0, 5.0};
-  std::vector<double> w{3.0, 1.0};
-  la::remove_weighted_mean(x, w);
-  EXPECT_NEAR(w[0] * x[0] + w[1] * x[1], 0.0, 1e-12);
 }
 
 TEST(VectorOps, MaxAbsDiff) {

@@ -102,6 +102,14 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       second copy to keep in step by hand.  Comments may
                       name the constant.
 
+  library-reach       Every public header under src/hicond/ must be
+                      #included by at least one file under src/,
+                      examples/, bench/, benchmark/src/ or fuzz/ other
+                      than its own .cpp.  A header that only tests include
+                      is library surface nothing ships; delete it with its
+                      tests instead.  LIBRARY_REACH_ALLOWED names the
+                      exceptions, each with its reason.
+
 Run: python3 tools/check_project_rules.py [root]
 """
 from __future__ import annotations
@@ -160,6 +168,15 @@ RAW_IO_SYSCALL = re.compile(
     rf"(?:(?<![\w.>:])|(?<=::))(?:{_RAW_IO_NAMES})\s*\("
 )
 RAW_CLOSE = re.compile(r"(?:(?<![\w.>:])|(?<=::))close\s*\(")
+
+# Where a header's includers count for the library-reach rule, and the
+# headers exempt from it (include name -> reason).
+LIBRARY_REACH_DIRS = ("src", "examples", "bench", "benchmark/src", "fuzz")
+LIBRARY_REACH_ALLOWED = {
+    "hicond/spectral/sparsify.hpp":
+        "ROADMAP item 4 judges sparsified quotients; delete it if that fails",
+}
+INCLUDE_DIRECTIVE = re.compile(r'^\s*#\s*include\s+[<"]([^">]+)[">]', re.M)
 
 
 def strip_comments(line: str) -> str:
@@ -467,6 +484,32 @@ def main() -> int:
                         f'builtin backend "{name}" never appears in '
                         "tests/prop/; the property suite must drive every "
                         "registered backend through the certify oracle")
+
+    # --- library-reach (cross-file) ------------------------------------
+    # A public header that only tests (or its own .cpp) include is surface
+    # no caller, bench row, example or fuzzer needs.
+    includers: dict[str, set[str]] = {}
+    for reach in LIBRARY_REACH_DIRS:
+        reach_dir = root / reach
+        if not reach_dir.is_dir():
+            continue
+        for path in reach_dir.rglob("*"):
+            if path.suffix not in (".cpp", ".hpp", ".h", ".cc"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            for m in INCLUDE_DIRECTIVE.finditer(
+                    path.read_text(encoding="utf-8")):
+                includers.setdefault(m.group(1), set()).add(rel)
+    for header in sorted(src.rglob("*.hpp")):
+        include_name = header.relative_to(root / "src").as_posix()
+        if include_name in LIBRARY_REACH_ALLOWED:
+            continue
+        own_cpp = header.with_suffix(".cpp").relative_to(root).as_posix()
+        if not includers.get(include_name, set()) - {own_cpp}:
+            err(header, 1, "library-reach",
+                f'"{include_name}" is included by no file under '
+                "src/, examples/, bench/, benchmark/src/ or fuzz/ other "
+                "than its own .cpp; delete test-only library surface")
 
     if errors:
         print("\n".join(errors))
