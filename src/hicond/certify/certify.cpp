@@ -9,7 +9,7 @@
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/precond/support.hpp"
 
 namespace hicond::certify {
@@ -41,8 +41,8 @@ Check check_structure(const Graph& g, const Decomposition& d) {
   return c;
 }
 
-Check check_cluster_connectivity(
-    const Graph& g, const std::vector<std::vector<vidx>>& members) {
+Check check_cluster_connectivity(const Graph& g,
+                                 const ClusterIndex& clusters) {
   Check c;
   c.name = "cluster-connectivity";
   c.relation = "<=";
@@ -50,11 +50,11 @@ Check check_cluster_connectivity(
   c.bound = 0.0;
   vidx disconnected = 0;
   vidx first_bad = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const Graph induced = induced_subgraph(g, members[i]);
+  for (vidx i = 0; i < clusters.num_clusters(); ++i) {
+    const Graph induced = induced_subgraph(g, clusters.members(i));
     if (!is_connected(induced)) {
       ++disconnected;
-      if (first_bad < 0) first_bad = static_cast<vidx>(i);
+      if (first_bad < 0) first_bad = i;
     }
   }
   c.measured = static_cast<double>(disconnected);
@@ -75,19 +75,18 @@ struct PhiEvidence {
 
 /// Recompute every cluster's closure conductance from scratch, filling the
 /// certificate's per-cluster evidence table.
-PhiEvidence gather_phi_evidence(const Graph& g,
-                                const std::vector<std::vector<vidx>>& members,
+PhiEvidence gather_phi_evidence(const Graph& g, const ClusterIndex& clusters,
                                 const CertifyOptions& options,
                                 Certificate& cert) {
   PhiEvidence ev;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const ClosureGraph closure = closure_graph(g, members[i]);
+  for (vidx i = 0; i < clusters.num_clusters(); ++i) {
+    const ClosureGraph closure = closure_graph(g, clusters.members(i));
     const OracleConductance oc =
         oracle_conductance(closure.graph, options.exact_limit,
                            options.lanczos_steps, options.seed);
     ClusterEvidence row;
-    row.cluster = static_cast<vidx>(i);
-    row.size = static_cast<vidx>(members[i].size());
+    row.cluster = i;
+    row.size = static_cast<vidx>(clusters.members(i).size());
     row.closure_size = closure.graph.num_vertices();
     row.phi_lower = oc.lower;
     row.phi_upper = oc.upper;
@@ -95,7 +94,7 @@ PhiEvidence gather_phi_evidence(const Graph& g,
     cert.clusters.push_back(row);
     if (oc.lower < ev.min_lower) {
       ev.min_lower = oc.lower;
-      ev.worst_cluster = static_cast<vidx>(i);
+      ev.worst_cluster = i;
     }
     ev.min_upper = std::min(ev.min_upper, oc.upper);
     if (!oc.exact) ev.all_exact = false;
@@ -160,9 +159,9 @@ Certificate certify_decomposition(const Graph& g, const Decomposition& d,
     }
   }
 
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  cert.checks.push_back(check_cluster_connectivity(g, members));
-  const PhiEvidence ev = gather_phi_evidence(g, members, options, cert);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  cert.checks.push_back(check_cluster_connectivity(g, clusters));
+  const PhiEvidence ev = gather_phi_evidence(g, clusters, options, cert);
   cert.checks.push_back(check_closure_conductance(ev, phi, options.tolerance));
   cert.finalize();
   return cert;
@@ -231,8 +230,8 @@ Certificate certify_tree_decomposition(const Graph& forest,
     }
   }
 
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  cert.checks.push_back(check_cluster_connectivity(forest, members));
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  cert.checks.push_back(check_cluster_connectivity(forest, clusters));
 
   // No cluster may span two components (isolation).
   vidx spanning = 0;
@@ -266,7 +265,7 @@ Certificate certify_tree_decomposition(const Graph& forest,
       phi_floor >= 0.0 ? phi_floor
                        : (max_deg > 0.0 ? 1.0 / (4.0 * max_deg) : 0.0);
   cert.phi_target = target;
-  const PhiEvidence ev = gather_phi_evidence(forest, members, options, cert);
+  const PhiEvidence ev = gather_phi_evidence(forest, clusters, options, cert);
   cert.checks.push_back(
       check_closure_conductance(ev, target, options.tolerance));
   cert.finalize();
@@ -307,8 +306,8 @@ Certificate certify_steiner_support(const Graph& g, const Decomposition& d,
 
   double phi_used = phi;
   if (!(phi_used > 0.0)) {
-    const auto members = cluster_members(d.assignment, d.num_clusters);
-    const PhiEvidence ev = gather_phi_evidence(g, members, options, cert);
+    const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+    const PhiEvidence ev = gather_phi_evidence(g, clusters, options, cert);
     const bool phi_ok = ev.min_lower > 0.0;
     {
       Check& phi_check = cert.checks.emplace_back();

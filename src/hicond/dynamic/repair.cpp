@@ -9,6 +9,7 @@
 #include "hicond/graph/quotient.hpp"
 #include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 
 namespace hicond::dynamic {
@@ -77,14 +78,13 @@ RepairResult repair_decomposition(const Graph& new_graph,
   const double floor = repair.phi_floor >= 0.0
                            ? repair.phi_floor
                            : default_phi_floor(new_graph, options.contraction);
-  const std::vector<std::vector<vidx>> members =
-      cluster_members(d0.assignment, m_old);
+  const ClusterIndex clusters = ClusterIndex::build(d0.assignment, m_old);
   std::vector<char> is_dissolved(static_cast<std::size_t>(m_old), 0);
   vidx clusters_dirty = 0;
   {
     HICOND_SPAN("dynamic.repair_scan");
     for (const vidx c : candidates) {
-      const std::vector<vidx>& cluster = members[static_cast<std::size_t>(c)];
+      const std::span<const vidx> cluster = clusters.members(c);
       // Exact up to kClosureExactMembers members, a certified lower bound
       // beyond: a below-floor bound on a genuinely good cluster only costs
       // an unnecessary re-clustering. An internally disconnected cluster
@@ -120,7 +120,7 @@ RepairResult repair_decomposition(const Graph& new_graph,
       if (is_dissolved[static_cast<std::size_t>(c)]) dissolved.push_back(c);
     }
     for (const vidx c : dissolved) {  // dirty set only, before halo grows it
-      for (const vidx v : members[static_cast<std::size_t>(c)]) {
+      for (const vidx v : clusters.members(c)) {
         for (const vidx u : new_graph.neighbors(v)) {
           is_dissolved[static_cast<std::size_t>(
               d0.assignment[static_cast<std::size_t>(u)])] = 1;
@@ -136,8 +136,8 @@ RepairResult repair_decomposition(const Graph& new_graph,
     // repair (the cache falls back to a cold build).
     std::vector<vidx> region;
     for (const vidx c : dissolved) {
-      region.insert(region.end(), members[static_cast<std::size_t>(c)].begin(),
-                    members[static_cast<std::size_t>(c)].end());
+      const std::span<const vidx> cluster = clusters.members(c);
+      region.insert(region.end(), cluster.begin(), cluster.end());
     }
     std::sort(region.begin(), region.end());
     double region_volume = 0.0;

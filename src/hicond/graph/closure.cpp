@@ -92,18 +92,6 @@ ClosureGraph closure_graph(const Graph& g, std::span<const vidx> cluster) {
   return result;
 }
 
-ClosureGraph closure_graph_of_assignment(const Graph& g,
-                                         std::span<const vidx> assignment,
-                                         vidx c) {
-  HICOND_CHECK(assignment.size() == static_cast<std::size_t>(g.num_vertices()),
-               "assignment size mismatch");
-  std::vector<vidx> cluster;
-  for (vidx v = 0; v < g.num_vertices(); ++v) {
-    if (assignment[static_cast<std::size_t>(v)] == c) cluster.push_back(v);
-  }
-  return closure_graph(g, cluster);
-}
-
 double closure_conductance(const Graph& g, std::span<const vidx> cluster) {
   HICOND_CHECK(!cluster.empty(), "closure of empty cluster");
   HICOND_CHECK(cluster.size() <= 24,

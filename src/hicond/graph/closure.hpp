@@ -30,11 +30,6 @@ struct ClosureGraph {
 [[nodiscard]] ClosureGraph closure_graph(const Graph& g,
                                          std::span<const vidx> cluster);
 
-/// Build the closure graph of cluster `c` of an assignment (values are
-/// cluster ids; -1 means unassigned and is treated as outside every cluster).
-[[nodiscard]] ClosureGraph closure_graph_of_assignment(
-    const Graph& g, std::span<const vidx> assignment, vidx c);
-
 /// Exact conductance of the closure graph of `cluster`, computed from the
 /// cluster's own vertices without building the closure.
 ///

@@ -1,6 +1,7 @@
 #include "hicond/graph/quotient.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "hicond/partition/cluster_index.hpp"
 #include "hicond/util/parallel.hpp"
@@ -90,17 +91,6 @@ Graph quotient_graph(const Graph& g, std::span<const vidx> assignment) {
   // from_csr revalidates the assembled structure (symmetry included).
   return Graph::from_csr(m, std::move(offsets), std::move(targets),
                          std::move(weights));
-}
-
-std::vector<std::vector<vidx>> cluster_members(std::span<const vidx> assignment,
-                                               vidx m) {
-  std::vector<std::vector<vidx>> members(static_cast<std::size_t>(m));
-  for (std::size_t v = 0; v < assignment.size(); ++v) {
-    const vidx c = assignment[v];
-    HICOND_CHECK(c >= 0 && c < m, "assignment value out of range");
-    members[static_cast<std::size_t>(c)].push_back(static_cast<vidx>(v));
-  }
-  return members;
 }
 
 }  // namespace hicond

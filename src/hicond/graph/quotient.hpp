@@ -8,7 +8,7 @@
 // entry of it against the dense product R' L R.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "hicond/graph/graph.hpp"
 
@@ -21,9 +21,5 @@ namespace hicond {
 /// Build the quotient graph of `assignment` (values in [0, m)).
 [[nodiscard]] Graph quotient_graph(const Graph& g,
                                    std::span<const vidx> assignment);
-
-/// Cluster member lists: result[c] = sorted vertices of cluster c.
-[[nodiscard]] std::vector<std::vector<vidx>> cluster_members(
-    std::span<const vidx> assignment, vidx m);
 
 }  // namespace hicond

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "hicond/graph/closure.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/util/parallel.hpp"
 
 namespace hicond {
@@ -23,12 +23,8 @@ void Decomposition::validate(const Graph& g) const {
   }
 }
 
-void validate_decomposition(const Graph& g, const Decomposition& d) {
-  d.validate(g);
-}
-
 std::vector<double> per_vertex_gamma(const Graph& g, const Decomposition& d) {
-  validate_decomposition(g, d);
+  d.validate(g);
   const vidx n = g.num_vertices();
   std::vector<double> gamma(static_cast<std::size_t>(n), 0.0);
   // Owner-computes: each vertex sums its own row in CSR order, so the
@@ -55,13 +51,15 @@ std::vector<double> per_vertex_gamma(const Graph& g, const Decomposition& d) {
 
 std::vector<ConductanceBounds> cluster_conductance_bounds(
     const Graph& g, const Decomposition& d) {
-  validate_decomposition(g, d);
-  const auto members = cluster_members(d.assignment, d.num_clusters);
+  d.validate(g);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
   // Clusters are scored independently, each slot by its own writer, so the
   // result does not depend on the thread schedule.
-  std::vector<ConductanceBounds> bounds(members.size());
-  parallel_for_interleaved(members.size(), [&](std::size_t c) {
-    bounds[c] = closure_conductance_bounds(g, members[c]);
+  std::vector<ConductanceBounds> bounds(
+      static_cast<std::size_t>(d.num_clusters));
+  parallel_for_interleaved(bounds.size(), [&](std::size_t c) {
+    bounds[c] = closure_conductance_bounds(
+        g, clusters.members(static_cast<vidx>(c)));
   });
   return bounds;
 }
@@ -98,7 +96,7 @@ DecompositionStats evaluate_decomposition(const Graph& g,
 }
 
 double cut_weight_fraction(const Graph& g, const Decomposition& d) {
-  validate_decomposition(g, d);
+  d.validate(g);
   const auto n = static_cast<std::size_t>(g.num_vertices());
   // Fixed-block reductions (parallel_sum) keep the rounding identical at
   // every thread count.

@@ -49,11 +49,6 @@ struct DecompositionStats {
   vidx num_disconnected_clusters = 0;  ///< should be 0 for valid output
 };
 
-/// Structural validation: every vertex assigned, ids dense in [0, m).
-/// Throws invalid_argument_error on violation. (Equivalent to d.validate(g);
-/// kept as a free function for existing call sites.)
-void validate_decomposition(const Graph& g, const Decomposition& d);
-
 /// closure_conductance_bounds (graph/closure.hpp) of every cluster, indexed
 /// by cluster id: exact for clusters of at most kClosureExactMembers members.
 [[nodiscard]] std::vector<ConductanceBounds> cluster_conductance_bounds(

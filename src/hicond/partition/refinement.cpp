@@ -11,7 +11,7 @@ namespace hicond {
 
 RefinementResult refine_decomposition(const Graph& g, const Decomposition& d,
                                       const RefinementOptions& opt) {
-  validate_decomposition(g, d);
+  d.validate(g);
   HICOND_CHECK(opt.gamma_floor >= 0.0 && opt.gamma_floor <= 1.0,
                "gamma_floor must be in [0, 1]");
   HICOND_CHECK(opt.max_rounds >= 0, "max_rounds must be >= 0");

@@ -70,7 +70,7 @@ DenseMatrix schur_complement_dense(const Graph& g,
 
 DenseMatrix steiner_schur_complement_dense(const Graph& a,
                                            const Decomposition& p) {
-  validate_decomposition(a, p);
+  p.validate(a);
   const vidx n = a.num_vertices();
   const vidx m = p.num_clusters;
   // Q + D_Q on the roots.

@@ -70,7 +70,7 @@ void validate_steiner_invariants(const Graph& a, const Decomposition& p,
 }  // namespace
 
 Graph build_steiner_graph(const Graph& a, const Decomposition& p) {
-  validate_decomposition(a, p);
+  p.validate(a);
   const vidx n = a.num_vertices();
   const vidx m = p.num_clusters;
   GraphBuilder b(n + m);
@@ -90,7 +90,7 @@ Graph build_steiner_graph(const Graph& a, const Decomposition& p) {
 
 SteinerPreconditioner SteinerPreconditioner::build(const Graph& a,
                                                    const Decomposition& p) {
-  validate_decomposition(a, p);
+  p.validate(a);
   HICOND_SPAN("steiner.build");
   obs::MetricsRegistry::global().counter_add("steiner.builds");
   SteinerPreconditioner sp;

@@ -18,6 +18,7 @@
 #include "hicond/serve/batch.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/serve/wire.hpp"
+#include "hicond/util/parallel.hpp"
 #include "hicond/util/rng.hpp"
 
 namespace hicond::serve {
@@ -194,6 +195,7 @@ std::string ServerCore::process(const Pending& pending) {
     w.end_object();
     w.kv("graphs_loaded", graphs_.size());
     w.kv("requests", requests_);
+    w.kv("threads", num_threads());
     w.end_object();
     return w.str();
   }

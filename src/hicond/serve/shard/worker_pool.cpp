@@ -1,18 +1,23 @@
 #include "hicond/serve/shard/worker_pool.hpp"
 
+#include <omp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "hicond/serve/wire.hpp"
 #include "hicond/util/common.hpp"
+
+extern char** environ;
 
 namespace hicond::serve::shard {
 
@@ -35,6 +40,31 @@ std::vector<std::string> worker_argv(const WorkerOptions& options,
     args.push_back(buf);
   }
   return args;
+}
+
+/// Environment for one of `workers` workers: the router's own, plus
+/// OMP_NUM_THREADS=max(1, processors / workers) when it sets none, so busy
+/// workers share the processors instead of each starting one OpenMP thread
+/// per processor. A value that is set passes through unchanged.
+std::vector<std::string> worker_env(int workers) {
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) env.emplace_back(*e);
+  if (std::getenv("OMP_NUM_THREADS") == nullptr) {
+    env.push_back("OMP_NUM_THREADS=" +
+                  std::to_string(std::max(1, omp_get_num_procs() / workers)));
+  }
+  return env;
+}
+
+/// The null-terminated char* array exec wants, pointing into `strings`.
+std::vector<char*> exec_array(const std::vector<std::string>& strings) {
+  std::vector<char*> out;
+  out.reserve(strings.size() + 1);
+  for (const std::string& s : strings) {
+    out.push_back(const_cast<char*>(s.c_str()));
+  }
+  out.push_back(nullptr);
+  return out;
 }
 
 }  // namespace
@@ -96,19 +126,18 @@ void WorkerPool::start(int i) {
   // closes the window between spawn and the child's bind.
   ::unlink(w.socket.c_str());
 
+  // argv and envp are built before fork, so the child allocates nothing on
+  // its way to execve.
   const std::vector<std::string> args = worker_argv(options_, w.socket);
+  const std::vector<std::string> env = worker_env(count());
+  const std::vector<char*> argv = exec_array(args);
+  const std::vector<char*> envp = exec_array(env);
   const pid_t child = ::fork();
   HICOND_CHECK(child >= 0, "fork failed for worker process");
   if (child == 0) {
     // Child: exec the worker. stderr is inherited so worker diagnostics
     // land in the router's stderr stream.
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (const std::string& a : args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
+    ::execve(argv[0], argv.data(), envp.data());
     std::fprintf(stderr, "worker exec failed: %s: %s\n", argv[0],
                  std::strerror(errno));
     ::_exit(127);

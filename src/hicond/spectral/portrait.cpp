@@ -4,14 +4,14 @@
 #include <cmath>
 
 #include "hicond/graph/conductance.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/spectral/normalized.hpp"
 
 namespace hicond {
 
 double alignment_with_cluster_space(const Graph& g, const Decomposition& p,
                                     std::span<const double> x) {
-  validate_decomposition(g, p);
+  p.validate(g);
   const vidx n = g.num_vertices();
   HICOND_CHECK(x.size() == static_cast<std::size_t>(n), "x size mismatch");
   // Basis columns s_c = D^{1/2} r_c have disjoint supports, so
@@ -63,9 +63,10 @@ SpectralPortrait spectral_portrait_with_params(const Graph& g,
 SpectralPortrait spectral_portrait(const Graph& g, const Decomposition& p) {
   // Measure phi as the minimum conductance over the *induced* cluster graphs
   // (the (phi, gamma) definition of Section 2), and gamma from the vertices.
-  const auto members = cluster_members(p.assignment, p.num_clusters);
+  const auto clusters = ClusterIndex::build(p.assignment, p.num_clusters);
   double phi = kInfiniteConductance;
-  for (const auto& cluster : members) {
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    const std::span<const vidx> cluster = clusters.members(c);
     if (cluster.size() < 2) continue;  // singleton: no internal cuts
     const Graph induced = induced_subgraph(g, cluster);
     phi = std::min(phi, conductance_bounds(induced).lower);

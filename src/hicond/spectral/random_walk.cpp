@@ -49,7 +49,7 @@ std::vector<double> mixture_walk(const Graph& g, std::vector<double> w,
 
 double trapped_mass(const Graph& g, const Decomposition& p, vidx source,
                     int t) {
-  validate_decomposition(g, p);
+  p.validate(g);
   const auto dist = random_walk_distribution(g, source, t);
   const vidx c = p.assignment[static_cast<std::size_t>(source)];
   double mass = 0.0;

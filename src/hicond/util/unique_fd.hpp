@@ -51,7 +51,7 @@ class unique_fd {
   /// could close an unrelated fd raced in by another thread.
   void reset(int fd = -1) noexcept {
     if (fd_ >= 0) {
-      ::close(fd_);  // hicond-tidy: allow(fd-ownership)
+      ::close(fd_);
     }
     fd_ = fd;
   }

@@ -26,7 +26,7 @@
 #include "hicond/dynamic/update.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/hierarchy.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/solver.hpp"
@@ -135,11 +135,11 @@ void check_invariants(const Graph& g, const Decomposition& d_old,
           "repair left a cluster with certified conductance 0");
   std::vector<char> gone(static_cast<std::size_t>(d_old.num_clusters), 0);
   for (const vidx c : dissolved) gone[static_cast<std::size_t>(c)] = 1;
-  const std::vector<std::vector<vidx>> members =
-      cluster_members(d_old.assignment, d_old.num_clusters);
+  const auto clusters = ClusterIndex::build(d_old.assignment,
+                                            d_old.num_clusters);
   for (vidx c = 0; c < d_old.num_clusters; ++c) {
     if (gone[static_cast<std::size_t>(c)]) continue;
-    const auto& mem = members[static_cast<std::size_t>(c)];
+    const auto mem = clusters.members(c);
     for (std::size_t i = 1; i < mem.size(); ++i) {
       require(d_new.assignment[static_cast<std::size_t>(mem[i])] ==
                   d_new.assignment[static_cast<std::size_t>(mem[0])],

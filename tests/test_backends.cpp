@@ -21,6 +21,7 @@
 #include "hicond/partition/backends/fixed_degree_backend.hpp"
 #include "hicond/partition/backends/louvain.hpp"
 #include "hicond/partition/backends/low_diameter.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/partition/hierarchy.hpp"
 #include "hicond/solver.hpp"
@@ -36,9 +37,9 @@ Graph test_graph() {
 
 void expect_connected_clusters(const Graph& g, const Decomposition& d) {
   d.validate(g);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
   for (vidx c = 0; c < d.num_clusters; ++c) {
-    const ClosureGraph closure =
-        closure_graph_of_assignment(g, d.assignment, c);
+    const ClosureGraph closure = closure_graph(g, clusters.members(c));
     EXPECT_TRUE(is_connected(closure.graph)) << "cluster " << c;
   }
 }

@@ -10,6 +10,7 @@
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/util/rng.hpp"
 
 namespace hicond {
@@ -59,7 +60,8 @@ TEST(Closure, VolumePreservedForClusterVertices) {
 TEST(Closure, FromAssignment) {
   const Graph g = gen::path(6);
   std::vector<vidx> assignment{0, 0, 1, 1, 2, 2};
-  const ClosureGraph c = closure_graph_of_assignment(g, assignment, 1);
+  const auto clusters = ClusterIndex::build(assignment, 3);
+  const ClosureGraph c = closure_graph(g, clusters.members(1));
   EXPECT_EQ(c.cluster, (std::vector<vidx>{2, 3}));
   EXPECT_EQ(c.graph.num_vertices(), 4);  // 2 cluster + 2 pendants
 }

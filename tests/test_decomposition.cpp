@@ -19,7 +19,7 @@ TEST(Decomposition, ValidationPasses) {
   Decomposition d;
   d.assignment = {0, 0, 1, 1};
   d.num_clusters = 2;
-  EXPECT_NO_THROW(validate_decomposition(g, d));
+  EXPECT_NO_THROW(d.validate(g));
 }
 
 TEST(Decomposition, ValidationCatchesBadIds) {
@@ -27,12 +27,12 @@ TEST(Decomposition, ValidationCatchesBadIds) {
   Decomposition d;
   d.assignment = {0, 0, 2, 2};  // id 1 unused
   d.num_clusters = 3;
-  EXPECT_THROW(validate_decomposition(g, d), invalid_argument_error);
+  EXPECT_THROW(d.validate(g), invalid_argument_error);
   d.assignment = {0, 0, 1, -1};
   d.num_clusters = 2;
-  EXPECT_THROW(validate_decomposition(g, d), invalid_argument_error);
+  EXPECT_THROW(d.validate(g), invalid_argument_error);
   d.assignment = {0, 0, 1};
-  EXPECT_THROW(validate_decomposition(g, d), invalid_argument_error);
+  EXPECT_THROW(d.validate(g), invalid_argument_error);
 }
 
 TEST(Decomposition, GammaOfBalancedSplit) {

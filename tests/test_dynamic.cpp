@@ -20,6 +20,7 @@
 #include "hicond/graph/graph.hpp"
 #include "hicond/graph/quotient.hpp"
 #include "hicond/obs/json.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/hierarchy.hpp"
 #include "hicond/serve/cache.hpp"
 #include "hicond/serve/snapshot.hpp"
@@ -38,6 +39,16 @@ Graph path3() {
   b.add_edge(0, 1, 1.0);
   b.add_edge(1, 2, 2.0);
   return b.build();
+}
+
+/// A unit dipole: +1 on the first vertex of `g`, -1 on its last.
+std::vector<double> dipole(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  HICOND_CHECK(n >= 2, "a dipole needs two vertices");
+  std::vector<double> b(n, 0.0);
+  b.front() = 1.0;
+  b.back() = -1.0;
+  return b;
 }
 
 /// std::span cannot bind a braced list; funnel literals through a vector.
@@ -262,11 +273,10 @@ TEST(RepairDecomposition, ReweightCollapseDirtiesOnlyLocalClusters) {
   for (const vidx c : rr.dissolved) {
     dissolved_flag[static_cast<std::size_t>(c)] = 1;
   }
-  const std::vector<std::vector<vidx>> old_members =
-      cluster_members(d0.assignment, d0.num_clusters);
+  const auto old_clusters = ClusterIndex::build(d0.assignment, d0.num_clusters);
   for (vidx c = 0; c < d0.num_clusters; ++c) {
     if (dissolved_flag[static_cast<std::size_t>(c)]) continue;
-    const auto& mem = old_members[static_cast<std::size_t>(c)];
+    const auto mem = old_clusters.members(c);
     for (std::size_t i = 1; i < mem.size(); ++i) {
       EXPECT_EQ(d_new.assignment[static_cast<std::size_t>(mem[i])],
                 d_new.assignment[static_cast<std::size_t>(mem[0])])
@@ -281,9 +291,7 @@ TEST(RepairDecomposition, ReweightCollapseDirtiesOnlyLocalClusters) {
 
   // The hierarchy is consumable end to end: a solver built from it solves.
   const LaplacianSolver solver(h, rr.hierarchy);
-  std::vector<double> b(static_cast<std::size_t>(h.num_vertices()), 0.0);
-  b.front() = 1.0;
-  b.back() = -1.0;
+  const std::vector<double> b = dipole(h);
   std::vector<double> x(b.size(), 0.0);
   EXPECT_TRUE(solver.solve(b, x).converged);
 }
@@ -294,8 +302,7 @@ TEST(RepairDecomposition, InternallyDisconnectedClusterIsDirty) {
   const LaminarHierarchy old = build_hierarchy(g, ho);
   ASSERT_FALSE(old.levels.empty());
   const Decomposition& d0 = old.levels.front().decomposition;
-  const std::vector<std::vector<vidx>> members =
-      cluster_members(d0.assignment, d0.num_clusters);
+  const auto clusters = ClusterIndex::build(d0.assignment, d0.num_clusters);
 
   // Find an intra-cluster edge whose removal disconnects the cluster's
   // induced subgraph while the grid as a whole stays connected. Fixed-degree
@@ -307,11 +314,10 @@ TEST(RepairDecomposition, InternallyDisconnectedClusterIsDirty) {
       if (u >= v) continue;
       const vidx c = d0.assignment[static_cast<std::size_t>(u)];
       if (c != d0.assignment[static_cast<std::size_t>(v)]) continue;
-      if (members[static_cast<std::size_t>(c)].size() < 2) continue;
+      if (clusters.members(c).size() < 2) continue;
       const std::vector<EdgeUpdate> probe{{UpdateKind::remove, u, v, 0.0}};
       const Graph h = dynamic::apply_updates(g, probe);
-      const Graph cluster_sub =
-          induced_subgraph(h, members[static_cast<std::size_t>(c)]);
+      const Graph cluster_sub = induced_subgraph(h, clusters.members(c));
       if (!is_connected(cluster_sub) && is_connected(h)) {
         bu = u;
         bv = v;
@@ -455,12 +461,10 @@ TEST(RepairDecomposition, DirtyCountMatchesExactClosureOracle) {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  const std::vector<std::vector<vidx>> members =
-      cluster_members(d0.assignment, d0.num_clusters);
+  const auto clusters = ClusterIndex::build(d0.assignment, d0.num_clusters);
   vidx oracle_dirty = 0;
   for (const vidx c : candidates) {
-    const Graph closure =
-        closure_graph(h, members[static_cast<std::size_t>(c)]).graph;
+    const Graph closure = closure_graph(h, clusters.members(c)).graph;
     ASSERT_LE(closure.num_vertices(), 24) << "cluster " << c;
     // A disconnected closure scores exactly 0, so it is always dirty.
     const certify::OracleConductance b =
@@ -563,9 +567,7 @@ TEST(HierarchyCacheUpdate, RepairsResidentEntryAndIsIdempotent) {
   EXPECT_EQ(retry.solver.get(), first.solver.get());
 
   // The new entry serves solves.
-  std::vector<double> b(static_cast<std::size_t>(h.num_vertices()), 0.0);
-  b.front() = 1.0;
-  b.back() = -1.0;
+  const std::vector<double> b = dipole(h);
   std::vector<double> x(b.size(), 0.0);
   EXPECT_TRUE(first.solver->solve(b, x).converged);
 }
@@ -599,9 +601,7 @@ TEST(HierarchyCacheUpdate, FallsBackToColdBuildWithAReason) {
     // The forced-rebuild entry is bitwise the cold-build solver: this is
     // what makes `mode:"rebuild"` comparable against a cold snapshot load.
     const LaplacianSolver cold(h, opt);
-    std::vector<double> b(static_cast<std::size_t>(h.num_vertices()), 0.0);
-    b.front() = 1.0;
-    b.back() = -1.0;
+    const std::vector<double> b = dipole(h);
     std::vector<double> x1(b.size(), 0.0);
     std::vector<double> x2(b.size(), 0.0);
     (void)out.solver->solve(b, x1);
@@ -633,9 +633,7 @@ TEST(HierarchyCacheUpdate, NonFixedDegreeBackendTakesColdRebuildFallback) {
   EXPECT_TRUE(out.solver->graph().identical_to(h));
 
   const LaplacianSolver cold(h, opt);
-  std::vector<double> b(static_cast<std::size_t>(h.num_vertices()), 0.0);
-  b.front() = 1.0;
-  b.back() = -1.0;
+  const std::vector<double> b = dipole(h);
   std::vector<double> x1(b.size(), 0.0);
   std::vector<double> x2(b.size(), 0.0);
   (void)out.solver->solve(b, x1);

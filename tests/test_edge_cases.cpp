@@ -126,7 +126,7 @@ TEST(PlanarDecomposition, DisconnectedGraphStillDecomposes) {
   PlanarDecompOptions opt;
   opt.measure_k = false;
   const auto result = planar_decomposition(g, opt);
-  validate_decomposition(g, result.decomposition);
+  result.decomposition.validate(g);
 }
 
 TEST(ConductanceExact, TwoIsolatedVerticesDegenerate) {

@@ -4,7 +4,7 @@
 
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 
 namespace hicond {
 namespace {
@@ -65,7 +65,7 @@ TEST_P(FixedDegreeSweep, ReductionFactorAtLeastTwo) {
   const vidx k = GetParam();
   const Graph g = gen::grid2d(12, 12, gen::WeightSpec::uniform(1.0, 2.0), 7);
   const auto result = fixed_degree_decomposition(g, {.max_cluster_size = k});
-  validate_decomposition(g, result.decomposition);
+  result.decomposition.validate(g);
   EXPECT_GE(result.decomposition.reduction_factor(), 2.0) << "k=" << k;
 }
 
@@ -96,10 +96,11 @@ TEST(FixedDegree, ForestCarriesOriginalWeights) {
 TEST(FixedDegree, ClustersAreConnectedInForest) {
   const Graph g = gen::oct_volume(6, 6, 6, {}, 4);
   const auto result = fixed_degree_decomposition(g, {.max_cluster_size = 4});
-  const auto members = cluster_members(result.decomposition.assignment,
-                                       result.decomposition.num_clusters);
-  for (const auto& cluster : members) {
-    EXPECT_TRUE(is_connected(induced_subgraph(result.forest, cluster)));
+  const auto clusters = ClusterIndex::build(
+      result.decomposition.assignment, result.decomposition.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_TRUE(
+        is_connected(induced_subgraph(result.forest, clusters.members(c))));
   }
 }
 
@@ -108,7 +109,7 @@ TEST(FixedDegree, WorksOnFixedDegreeFamilies) {
     const Graph g =
         gen::random_regular(100, 4, gen::WeightSpec::uniform(1.0, 2.0), seed);
     const auto result = fixed_degree_decomposition(g);
-    validate_decomposition(g, result.decomposition);
+    result.decomposition.validate(g);
     EXPECT_GE(result.decomposition.reduction_factor(), 2.0) << "seed " << seed;
   }
 }
@@ -119,7 +120,7 @@ TEST(FixedDegree, PerturbationAblationStillValidOnDistinctWeights) {
   const Graph g = gen::grid2d(8, 8, gen::WeightSpec::uniform(1.0, 2.0), 13);
   const auto result = fixed_degree_decomposition(
       g, {.max_cluster_size = 4, .perturb = false});
-  validate_decomposition(g, result.decomposition);
+  result.decomposition.validate(g);
   EXPECT_TRUE(is_forest(result.forest));
 }
 
@@ -133,7 +134,7 @@ TEST(FixedDegree, IsolatedVerticesBecomeSingletons) {
   std::vector<WeightedEdge> edges{{0, 1, 1.0}, {1, 2, 2.0}};
   const Graph g(5, edges);  // 3, 4 isolated
   const auto result = fixed_degree_decomposition(g);
-  validate_decomposition(g, result.decomposition);
+  result.decomposition.validate(g);
   EXPECT_EQ(result.decomposition.num_clusters, 3);  // {0,1,2}, {3}, {4}
 }
 

@@ -30,7 +30,7 @@ TEST(Hierarchy, QuotientChainIsConsistent) {
   const LaminarHierarchy h = build_hierarchy(g, {.coarsest_size = 10});
   for (std::size_t l = 0; l < h.levels.size(); ++l) {
     const auto& lv = h.levels[l];
-    validate_decomposition(lv.graph, lv.decomposition);
+    lv.decomposition.validate(lv.graph);
     const vidx next_n = (l + 1 < h.levels.size())
                             ? h.levels[l + 1].graph.num_vertices()
                             : h.coarsest.num_vertices();
@@ -63,7 +63,7 @@ TEST(Hierarchy, FlattenComposesToCoarsest) {
   const Decomposition flat = h.flatten();
   EXPECT_EQ(flat.assignment.size(), 144u);
   EXPECT_EQ(flat.num_clusters, h.coarsest.num_vertices());
-  validate_decomposition(g, flat);
+  flat.validate(g);
 }
 
 TEST(Hierarchy, SmallInputYieldsNoLevels) {

@@ -83,7 +83,7 @@ TEST_P(PlanarPipeline, ProducesValidDecomposition) {
   opt.tree_kind = GetParam();
   opt.measure_k = false;
   const PlanarDecompResult result = planar_decomposition(a, opt);
-  validate_decomposition(a, result.decomposition);
+  result.decomposition.validate(a);
   const auto stats = evaluate_decomposition(a, result.decomposition);
   EXPECT_EQ(stats.num_disconnected_clusters, 0);
   EXPECT_GT(stats.reduction_factor, 1.1);
@@ -138,7 +138,7 @@ TEST(PlanarPipeline, PureTreeFractionZero) {
   const PlanarDecompResult result = planar_decomposition(a, opt);
   EXPECT_TRUE(is_forest(result.subgraph_b));
   EXPECT_EQ(result.cut_edges, 0);
-  validate_decomposition(a, result.decomposition);
+  result.decomposition.validate(a);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "hicond/la/dense.hpp"
 #include "hicond/la/dense_eigen.hpp"
 #include "hicond/la/vector_ops.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/partition/hierarchy.hpp"
 #include "hicond/precond/schur.hpp"
@@ -59,10 +60,10 @@ TEST_P(SeedSweep, ClosureConductanceNeverExceedsInduced) {
   // phi(closure) <= phi(induced subgraph).
   const Graph g = random_connected_graph(GetParam(), 30);
   const auto fd = fixed_degree_decomposition(g, {.max_cluster_size = 4});
-  const auto members =
-      cluster_members(fd.decomposition.assignment,
-                      fd.decomposition.num_clusters);
-  for (const auto& cluster : members) {
+  const auto clusters = ClusterIndex::build(fd.decomposition.assignment,
+                                            fd.decomposition.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    const auto cluster = clusters.members(c);
     if (cluster.size() < 2) continue;
     const Graph induced = induced_subgraph(g, cluster);
     const ClosureGraph closure = closure_graph(g, cluster);
@@ -104,10 +105,10 @@ TEST_P(SeedSweep, SteinerSupportsWithinDilationThree) {
   const auto eig = generalized_eigen_laplacian(bs, dense_laplacian(g));
   EXPECT_GE(eig.values.front(), 1.0 / 3.0 - 1e-9);
   double phi = kInfiniteConductance;
-  for (const auto& cluster :
-       cluster_members(fd.decomposition.assignment,
-                       fd.decomposition.num_clusters)) {
-    const ClosureGraph c = closure_graph(g, cluster);
+  const auto clusters = ClusterIndex::build(fd.decomposition.assignment,
+                                            fd.decomposition.num_clusters);
+  for (vidx k = 0; k < clusters.num_clusters(); ++k) {
+    const ClosureGraph c = closure_graph(g, clusters.members(k));
     phi = std::min(phi, conductance_bounds(c.graph).lower);
   }
   EXPECT_LE(eig.values.back(), steiner_support_bound_phi_rho(phi) + 1e-6);
@@ -153,7 +154,7 @@ TEST_P(SeedSweep, CompositionOfLevelAssignmentsIsValid) {
   const LaminarHierarchy h = build_hierarchy(g, {.coarsest_size = 10});
   if (h.num_levels() == 0) return;
   const Decomposition flat = h.flatten();
-  validate_decomposition(g, flat);
+  flat.validate(g);
   // Composite clusters refine correctly: any two vertices sharing a level-0
   // cluster share the flattened cluster.
   const auto& level0 = h.levels.front().decomposition;

@@ -4,6 +4,7 @@
 
 #include "hicond/graph/generators.hpp"
 #include "hicond/la/dense.hpp"
+#include "hicond/partition/cluster_index.hpp"
 
 namespace hicond {
 namespace {
@@ -65,10 +66,14 @@ TEST(Quotient, VolumeOfQuotientEqualsBoundaryWeight) {
 TEST(Quotient, NumClustersAndMembers) {
   std::vector<vidx> assignment{2, 0, 1, 0, 2};
   EXPECT_EQ(num_clusters(assignment), 3);
-  const auto members = cluster_members(assignment, 3);
-  EXPECT_EQ(members[0], (std::vector<vidx>{1, 3}));
-  EXPECT_EQ(members[1], (std::vector<vidx>{2}));
-  EXPECT_EQ(members[2], (std::vector<vidx>{0, 4}));
+  const auto clusters = ClusterIndex::build(assignment, 3);
+  const auto members = [&](vidx c) {
+    const auto span = clusters.members(c);
+    return std::vector<vidx>(span.begin(), span.end());
+  };
+  EXPECT_EQ(members(0), (std::vector<vidx>{1, 3}));
+  EXPECT_EQ(members(1), (std::vector<vidx>{2}));
+  EXPECT_EQ(members(2), (std::vector<vidx>{0, 4}));
 }
 
 TEST(Quotient, RejectsUnassigned) {

@@ -25,7 +25,7 @@ TEST(Refinement, MovesMisassignedVertexHome) {
   bad.num_clusters = 2;
   bad.assignment = {0, 0, 0, 1, 1, 1, 1, 1};  // vertex 3 misplaced
   const RefinementResult r = refine_decomposition(g, bad, {.gamma_floor = 0.5});
-  validate_decomposition(g, r.decomposition);
+  r.decomposition.validate(g);
   EXPECT_GE(r.moves, 1);
   // Vertex 3 must rejoin its clique-mates.
   EXPECT_EQ(r.decomposition.assignment[3], r.decomposition.assignment[0]);
@@ -77,7 +77,7 @@ TEST(Refinement, OutputClustersAlwaysConnected) {
   d.num_clusters = 2;
   d.assignment = {0, 0, 1, 0, 0};  // cluster 0 disconnected after any move
   const RefinementResult r = refine_decomposition(g, d, {.gamma_floor = 0.9});
-  validate_decomposition(g, r.decomposition);
+  r.decomposition.validate(g);
   const auto stats = evaluate_decomposition(g, r.decomposition);
   EXPECT_EQ(stats.num_disconnected_clusters, 0);
 }

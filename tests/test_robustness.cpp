@@ -54,7 +54,7 @@ TEST(Robustness, TinyAbsoluteWeights) {
   }
   const Graph g(20, edges);
   const auto fd = fixed_degree_decomposition(g);
-  validate_decomposition(g, fd.decomposition);
+  fd.decomposition.validate(g);
   const auto stats = evaluate_decomposition(g, fd.decomposition);
   EXPECT_GT(stats.min_phi_lower, 0.0);
 }

@@ -6,7 +6,7 @@
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 
 namespace hicond {
 namespace {
@@ -73,7 +73,7 @@ TEST(RecursiveSpectral, RecoversPlantedClusters) {
   const Graph g = planted(4, 10, 0.01, &truth);
   const Decomposition d = recursive_spectral_decomposition(
       g, {.phi_target = 0.3, .min_cluster_size = 4});
-  validate_decomposition(g, d);
+  d.validate(g);
   EXPECT_EQ(d.num_clusters, 4);
   // Same partition as planted (up to relabeling): vertices agree with their
   // clique-mates.
@@ -87,10 +87,10 @@ TEST(RecursiveSpectral, ClustersAreConnected) {
   const Graph g = gen::grid2d(12, 12, gen::WeightSpec::uniform(1.0, 3.0), 7);
   const Decomposition d = recursive_spectral_decomposition(
       g, {.phi_target = 0.4, .min_cluster_size = 6});
-  validate_decomposition(g, d);
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  for (const auto& cluster : members) {
-    EXPECT_TRUE(is_connected(induced_subgraph(g, cluster)));
+  d.validate(g);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_TRUE(is_connected(induced_subgraph(g, clusters.members(c))));
   }
 }
 
@@ -107,12 +107,12 @@ TEST(RecursiveSpectral, StopsAtMinClusterSize) {
   const Graph g = gen::grid2d(8, 8, gen::WeightSpec::uniform(1.0, 2.0), 11);
   const Decomposition d = recursive_spectral_decomposition(
       g, {.phi_target = 100.0, .min_cluster_size = 5});
-  const auto members = cluster_members(d.assignment, d.num_clusters);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
   // With an unreachable target everything splits down to the size floor;
   // each split keeps both sides non-empty so clusters have size in
   // [1, min_cluster_size].
-  for (const auto& cluster : members) {
-    EXPECT_LE(cluster.size(), 5u);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_LE(clusters.members(c).size(), 5u);
   }
 }
 

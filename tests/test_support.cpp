@@ -6,7 +6,7 @@
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/generators.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/decomposition.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/precond/schur.hpp"
@@ -89,10 +89,10 @@ TEST(Theorem35, SteinerSupportRespectsBothBounds) {
     const Decomposition& p = fd.decomposition;
     const double sigma = steiner_support_dense(a, p);
     // Measure the decomposition parameters.
-    const auto members = cluster_members(p.assignment, p.num_clusters);
+    const auto clusters = ClusterIndex::build(p.assignment, p.num_clusters);
     double phi_closure = kInfiniteConductance;
-    for (const auto& cluster : members) {
-      const ClosureGraph c = closure_graph(a, cluster);
+    for (vidx k = 0; k < clusters.num_clusters(); ++k) {
+      const ClosureGraph c = closure_graph(a, clusters.members(k));
       phi_closure = std::min(phi_closure,
                              certify::oracle_conductance_bruteforce(c.graph));
     }

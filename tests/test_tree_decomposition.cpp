@@ -53,7 +53,7 @@ class TreeDecompositionFamilies : public testing::TestWithParam<int> {
 TEST_P(TreeDecompositionFamilies, ProducesValidDecomposition) {
   const auto& tc = cases()[static_cast<std::size_t>(GetParam())];
   const Decomposition d = tree_decomposition(tc.graph);
-  validate_decomposition(tc.graph, d);
+  d.validate(tc.graph);
   const DecompositionStats stats = evaluate_decomposition(tc.graph, d);
   EXPECT_EQ(stats.num_disconnected_clusters, 0) << tc.name;
 }
@@ -116,7 +116,7 @@ TEST(TreeDecomposition, ForestHandledPerComponent) {
   }
   const Graph g(24, edges);
   const Decomposition d = tree_decomposition(g);
-  validate_decomposition(g, d);
+  d.validate(g);
   // No cluster spans components.
   const auto comp = connected_components(g);
   std::vector<vidx> cluster_comp(static_cast<std::size_t>(d.num_clusters), -1);
@@ -135,7 +135,7 @@ TEST(TreeDecomposition, IsolatedVerticesBecomeSingletons) {
   std::vector<WeightedEdge> edges{{0, 1, 1.0}};
   const Graph g(4, edges);  // vertices 2, 3 isolated
   const Decomposition d = tree_decomposition(g);
-  validate_decomposition(g, d);
+  d.validate(g);
   EXPECT_EQ(d.num_clusters, 3);
 }
 
@@ -159,7 +159,7 @@ TEST(TreeDecomposition, LargeRandomTreesStressValidity) {
     const Graph g =
         gen::random_tree(5000, gen::WeightSpec::lognormal(0.0, 2.0), seed);
     const Decomposition d = tree_decomposition(g);
-    validate_decomposition(g, d);
+    d.validate(g);
     EXPECT_GE(d.reduction_factor(), 1.2) << "seed " << seed;
   }
 }

@@ -4,15 +4,15 @@
 
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
-#include "hicond/graph/quotient.hpp"
+#include "hicond/partition/cluster_index.hpp"
 
 namespace hicond {
 namespace {
 
 void check_clusters_connected(const Graph& g, const Decomposition& d) {
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  for (const auto& cluster : members) {
-    EXPECT_TRUE(is_connected(induced_subgraph(g, cluster)));
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_TRUE(is_connected(induced_subgraph(g, clusters.members(c))));
   }
 }
 
@@ -22,13 +22,14 @@ TEST_P(SplitCapSweep, RespectsSizeCapWithSingletonSlack) {
   const vidx k = GetParam();
   const Graph g = gen::random_tree(300, gen::WeightSpec::uniform(1.0, 4.0), 7);
   const Decomposition d = split_forest_bounded(g, k);
-  validate_decomposition(g, d);
+  d.validate(g);
   // The greedy merge respects the cap k; singleton absorption can push a
   // cluster past it by at most the number of stranded neighbours, which is
   // bounded by the maximum degree.
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  for (const auto& cluster : members) {
-    EXPECT_LE(static_cast<vidx>(cluster.size()), k + g.max_degree());
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_LE(static_cast<vidx>(clusters.members(c).size()),
+              k + g.max_degree());
   }
   check_clusters_connected(g, d);
 }
@@ -37,9 +38,9 @@ TEST_P(SplitCapSweep, NoSingletonsOnConnectedTree) {
   const vidx k = GetParam();
   const Graph g = gen::random_tree(300, gen::WeightSpec::uniform(1.0, 4.0), 9);
   const Decomposition d = split_forest_bounded(g, k);
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  for (const auto& cluster : members) {
-    EXPECT_GE(cluster.size(), 2u);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_GE(clusters.members(c).size(), 2u);
   }
   // Reduction factor of 2 (the Section 3.1 claim).
   EXPECT_GE(d.reduction_factor(), 2.0);
@@ -83,10 +84,10 @@ TEST(SplitForest, RejectsBadInput) {
 TEST(SplitForest, CapTwoGivesMatchingLikeClusters) {
   const Graph g = gen::path(10);
   const Decomposition d = split_forest_bounded(g, 2);
-  const auto members = cluster_members(d.assignment, d.num_clusters);
-  for (const auto& cluster : members) {
-    EXPECT_LE(cluster.size(), 3u);  // 2 + singleton absorption slack
-    EXPECT_GE(cluster.size(), 2u);
+  const auto clusters = ClusterIndex::build(d.assignment, d.num_clusters);
+  for (vidx c = 0; c < clusters.num_clusters(); ++c) {
+    EXPECT_LE(clusters.members(c).size(), 3u);  // 2 + absorption slack
+    EXPECT_GE(clusters.members(c).size(), 2u);
   }
 }
 

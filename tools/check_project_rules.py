@@ -1,6 +1,17 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for hicond.
 
+This is the token layer of the lint stack and the only one tier-1 runs
+(the lint_rules_* ctests).  Every rule is implemented once: a rule a token
+scan can hold lives here; tools/hicond-tidy keeps only the checks that need
+types or data flow (owner-computes, ordered-iteration, untrusted-size,
+boundary-validation, float-compare).  docs/STATIC_ANALYSIS.md has the table.
+
+Suppression: omp-funnel, omp-determinism, no-std-rand, chrono-timing,
+syscall-discipline and fd-ownership honour `// hicond-tidy: allow(<rule>)`
+on the flagged line or the line directly above, the same scope hicond-tidy
+uses for its own checks.
+
 Rules (each failure prints `path:line: [rule] message` and exits nonzero):
 
   omp-schedule        Every OpenMP worksharing loop (`#pragma omp for`,
@@ -29,7 +40,8 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
   check-coverage      Every non-util .cpp under src/hicond must use at least
                       one of HICOND_CHECK / HICOND_VALIDATE /
                       HICOND_RUN_VALIDATION / HICOND_ASSERT — public entry
-                      points validate their inputs.
+                      points validate their inputs.  A per-file proxy of
+                      hicond-tidy's per-function boundary-validation.
 
   include-hygiene     Headers start with `#pragma once` (after an optional
                       leading comment block); a module's .cpp includes its
@@ -49,6 +61,9 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       approx_equal).  Genuinely exact comparisons carry a
                       `// float-eq: exact` annotation.  tests/ are exempt
                       (gtest macros do their own comparison plumbing).
+                      A coarse proxy that cannot see types: hicond-tidy's
+                      float-compare catches `x == y` on two doubles, this
+                      rule keeps the literal cases in tier-1.
 
   certify-coverage    Every public header in src/hicond/certify/ must have a
                       sibling .cpp that uses the HICOND_CHECK family — the
@@ -76,21 +91,26 @@ Rules (each failure prints `path:line: [rule] message` and exits nonzero):
                       the wire helpers (write_all, write_line, read_into,
                       drain_nonblocking), which retry correctly.  tests/
                       are exempt (tests drive sockets directly to provoke
-                      edge cases).  This is the regex mirror of the
-                      hicond-tidy AST check of the same name; suppress a
-                      deliberate use with `// hicond-tidy:
-                      allow(syscall-discipline)` on the same or previous
-                      line.
+                      edge cases).  Function declarations (`long
+                      read(int, void*, unsigned long);`, a member
+                      `Stream& write(...)`) are not calls and pass.
 
-  fd-close            Raw `close()` / `::close()` calls are only allowed
-                      in util/unique_fd.hpp and serve/wire.{hpp,cpp}.
-                      Descriptors are owned by hicond::unique_fd, whose
-                      reset() is the single close site — a raw close
-                      either double-closes an owned fd or marks a leak on
-                      every early-return path.  tests/ are exempt.
-                      Regex mirror of the hicond-tidy fd-ownership check;
-                      `// hicond-tidy: allow(fd-ownership)` (or
-                      allow(fd-close)) suppresses it.
+  fd-ownership        Raw `close()` / `::close()` calls, and descriptors
+                      acquired into a plain integer (`int fd = socket(`,
+                      `open`, `accept`, `dup`, `eventfd`, `mkstemp`, ...),
+                      are only allowed in util/unique_fd.hpp and
+                      serve/wire.{hpp,cpp}.  Descriptors are owned by
+                      hicond::unique_fd from the call that returns them, and
+                      its reset() is the single close site — a raw int
+                      leaks on every early-return path and a raw close
+                      either double-closes an owned fd or marks such a
+                      leak.  Declarations pass; tests/ are exempt.
+
+  allow-marker        A `hicond-tidy: allow(<rule>)` marker must name, in
+                      exactly that form, a rule that honours markers: one
+                      of the six token rules above or a hicond-tidy check.
+                      A misspelt or stale marker suppresses nothing and
+                      would hide that fact.
 
   reduction-funnel    `kReductionBlock` may appear in code only in
                       util/parallel.hpp and under tests/.  Every
@@ -150,8 +170,8 @@ FLOAT_EQ_ANNOTATION = "float-eq: exact"
 REDUCTION_FUNNEL_ALLOWED = {"src/hicond/util/parallel.hpp"}
 REDUCTION_BLOCK_USE = re.compile(r"\bkReductionBlock\b")
 
-# Raw I/O syscalls and close() are funneled through these three files; see
-# the syscall-discipline and fd-close rules (and docs/STATIC_ANALYSIS.md).
+# Raw I/O syscalls and descriptors are funneled through these three files;
+# see the syscall-discipline and fd-ownership rules.
 WIRE_ALLOWED_FILES = {
     "src/hicond/serve/wire.cpp",
     "src/hicond/serve/wire.hpp",
@@ -168,6 +188,33 @@ RAW_IO_SYSCALL = re.compile(
     rf"(?:(?<![\w.>:])|(?<=::))(?:{_RAW_IO_NAMES})\s*\("
 )
 RAW_CLOSE = re.compile(r"(?:(?<![\w.>:])|(?<=::))close\s*\(")
+# `int fd = socket(`, `const int c = ::accept(`, `auto fd{open(`: a
+# descriptor born into a plain integer instead of a unique_fd.
+_FD_PRODUCERS = (
+    "open|openat|creat|socket|accept|accept4|dup|dup3|eventfd|"
+    "epoll_create|epoll_create1|memfd_create|timerfd_create|signalfd|"
+    "inotify_init|inotify_init1|mkstemp"
+)
+RAW_FD_ACQUIRE = re.compile(
+    rf"\b(?:int|auto)\s+\w+\s*[={{]\s*(?:::)?(?:{_FD_PRODUCERS})\s*\("
+)
+# What precedes a name in a declaration rather than a call: a type name
+# (`long read(`, but not `return read(`) or a pointer/reference declarator
+# (`Stream& write(`, `char* read(`; `a && write(` is still a call).
+DECLARATOR_BEFORE = re.compile(
+    r"(?:\b(?!(?:return|co_return|co_await|co_yield|throw|case|else|do|new|"
+    r"delete|sizeof|not|and|or)\b)[A-Za-z_]\w*|\w\s*(?:\*+|(?<!&)&))\s*$"
+)
+
+# The rules that honour a `hicond-tidy: allow(<rule>)` marker: the token
+# rules below that read it, and hicond-tidy's own checks.  Any other name in
+# a marker is an allow-marker violation.
+TOKEN_ALLOW_RULES = {"omp-funnel", "omp-determinism", "no-std-rand",
+                     "chrono-timing", "syscall-discipline", "fd-ownership"}
+HICOND_TIDY_CHECKS = {"owner-computes", "ordered-iteration", "untrusted-size",
+                      "boundary-validation", "float-compare"}
+ALLOW_RULES = TOKEN_ALLOW_RULES | HICOND_TIDY_CHECKS
+ALLOW_MARKER = re.compile(r"hicond-tidy:\s*allow\s*\(([^)]*)\)")
 
 # Where a header's includers count for the library-reach rule, and the
 # headers exempt from it (include name -> reason).
@@ -211,7 +258,7 @@ def logical_source_lines_tight(text: str):
     logical_source_lines() joins with a space, which is right for pragma
     token rules but wrong for identifier rules: a call spliced mid-token
     (`::clo\\` + `se(fd)`) reassembles to `::close(fd)` only under a
-    no-space join.  Token rules (syscall-discipline, fd-close) match on
+    no-space join.  Token rules (syscall-discipline, fd-ownership) match on
     this variant so backslash splices cannot hide a name.
     """
     lines = text.splitlines()
@@ -226,18 +273,21 @@ def logical_source_lines_tight(text: str):
         i += 1
 
 
-def tidy_allowed(lines: list[str], lineno: int, rules: tuple[str, ...]) -> bool:
+def tidy_allowed(lines: list[str], lineno: int, rule: str) -> bool:
     """True if a `hicond-tidy: allow(<rule>)` marker covers this line.
 
-    Mirrors the C++ tool's suppression scope: the marker counts on the
-    flagged line itself or on the physical line directly above it.
+    The same scope as hicond-tidy's: the marker counts on the flagged line
+    itself or on the physical line directly above it.
     """
-    for rule in rules:
-        marker = f"hicond-tidy: allow({rule})"
-        for idx in (lineno - 1, lineno - 2):
-            if 0 <= idx < len(lines) and marker in lines[idx]:
-                return True
-    return False
+    marker = f"hicond-tidy: allow({rule})"
+    return any(0 <= idx < len(lines) and marker in lines[idx]
+               for idx in (lineno - 1, lineno - 2))
+
+
+def calls(pattern: re.Pattern[str], code: str) -> bool:
+    """True if `pattern` matches `code` anywhere but at a declared name."""
+    return any(not DECLARATOR_BEFORE.search(code[:m.start()])
+               for m in pattern.finditer(code))
 
 
 def logical_pragma_lines(text: str):
@@ -274,6 +324,21 @@ def main() -> int:
             text = path.read_text(encoding="utf-8")
             lines = text.splitlines()
 
+            def flag(lineno: int, rule: str, msg: str) -> None:
+                """err() for the TOKEN_ALLOW_RULES: honours allow markers."""
+                if not tidy_allowed(lines, lineno, rule):
+                    err(path, lineno, rule, msg)
+
+            # --- allow-marker -------------------------------------------
+            for lineno, line in enumerate(lines, 1):
+                for m in ALLOW_MARKER.finditer(line):
+                    name = m.group(1)
+                    if (m.group(0) != f"hicond-tidy: allow({name})"
+                            or name not in ALLOW_RULES):
+                        err(path, lineno, "allow-marker",
+                            f"'{m.group(0)}' names no rule that honours "
+                            "allow markers; it suppresses nothing")
+
             # --- OpenMP rules -------------------------------------------
             for lineno, clause in logical_pragma_lines(text):
                 tokens = clause.split()
@@ -286,27 +351,27 @@ def main() -> int:
                         "schedule(...) clause")
                 if tokens and tokens[0] == "parallel":
                     if rel not in OMP_FUNNEL_ALLOWED:
-                        err(path, lineno, "omp-funnel",
-                            "raw '#pragma omp parallel' outside "
-                            "util/parallel.hpp; use parallel_region() / "
-                            "parallel_for()")
+                        flag(lineno, "omp-funnel",
+                             "raw '#pragma omp parallel' outside "
+                             "util/parallel.hpp; use parallel_region() / "
+                             "parallel_for()")
                 if rel not in OMP_FUNNEL_ALLOWED and (
                     "atomic" in tokens
                     or "critical" in tokens
                     or "reduction(" in clause.replace(" ", "")
                 ):
-                    err(path, lineno, "omp-determinism",
-                        "schedule-ordered accumulation (atomic/critical/"
-                        "reduction) outside util/parallel.hpp; use "
-                        "owner-computes writes or parallel_sum/parallel_any")
+                    flag(lineno, "omp-determinism",
+                         "schedule-ordered accumulation (atomic/critical/"
+                         "reduction) outside util/parallel.hpp; use "
+                         "owner-computes writes or parallel_sum/parallel_any")
 
             # --- no-std-rand --------------------------------------------
             for lineno, line in enumerate(lines, 1):
                 stripped = strip_comments(line)
                 if RAND_USE.search(stripped):
-                    err(path, lineno, "no-std-rand",
-                        "std::rand/srand/rand() is forbidden; use "
-                        "util/rng.hpp")
+                    flag(lineno, "no-std-rand",
+                         "std::rand/srand/rand() is forbidden; use "
+                         "util/rng.hpp")
 
             # --- float-equal --------------------------------------------
             if (
@@ -337,33 +402,34 @@ def main() -> int:
             if not any(rel.startswith(p) for p in CHRONO_ALLOWED_PREFIXES):
                 for lineno, line in enumerate(lines, 1):
                     if CHRONO_USE.search(strip_comments(line)):
-                        err(path, lineno, "chrono-timing",
-                            "raw std::chrono outside util/timer and obs/; "
-                            "use util/timer (Timer, time_best_of) or "
-                            "HICOND_SPAN")
+                        flag(lineno, "chrono-timing",
+                             "raw std::chrono outside util/timer and obs/; "
+                             "use util/timer (Timer, time_best_of) or "
+                             "HICOND_SPAN")
 
-            # --- syscall-discipline / fd-close --------------------------
-            # Regex mirror of the hicond-tidy AST checks: raw I/O syscalls
-            # and close() outside the wire/unique_fd funnel.  Matched on
-            # no-space-joined logical lines so a backslash splice through
-            # the middle of an identifier cannot hide it.
+            # --- syscall-discipline / fd-ownership ----------------------
+            # Raw I/O syscalls, raw close() and raw-int descriptors outside
+            # the wire/unique_fd funnel.  Matched on no-space-joined
+            # logical lines so a backslash splice through the middle of an
+            # identifier cannot hide a name.
             if rel not in WIRE_ALLOWED_FILES and not rel.startswith("tests/"):
                 for lineno, tight in logical_source_lines_tight(text):
                     code = strip_comments(tight)
-                    if RAW_IO_SYSCALL.search(code) and not tidy_allowed(
-                        lines, lineno, ("syscall-discipline",)
-                    ):
-                        err(path, lineno, "syscall-discipline",
-                            "raw I/O syscall outside serve/wire and "
-                            "util/unique_fd.hpp; use wire::write_all/"
-                            "write_line/read_into/drain_nonblocking")
-                    if RAW_CLOSE.search(code) and not tidy_allowed(
-                        lines, lineno, ("fd-close", "fd-ownership")
-                    ):
-                        err(path, lineno, "fd-close",
-                            "raw close() outside util/unique_fd.hpp; own "
-                            "descriptors with hicond::unique_fd (reset() "
-                            "is the single close site)")
+                    if calls(RAW_IO_SYSCALL, code):
+                        flag(lineno, "syscall-discipline",
+                             "raw I/O syscall outside serve/wire and "
+                             "util/unique_fd.hpp; use wire::write_all/"
+                             "write_line/read_into/drain_nonblocking")
+                    if calls(RAW_CLOSE, code):
+                        flag(lineno, "fd-ownership",
+                             "raw close() outside util/unique_fd.hpp; own "
+                             "descriptors with hicond::unique_fd (reset() "
+                             "is the single close site)")
+                    if RAW_FD_ACQUIRE.search(code):
+                        flag(lineno, "fd-ownership",
+                             "descriptor stored in a raw int; wrap it in "
+                             "hicond::unique_fd at the call that returns "
+                             "it so error paths cannot leak it")
 
             # --- check-coverage (library .cpp only) ---------------------
             if (

@@ -11,9 +11,7 @@
 #include "clang/AST/DeclCXX.h"
 #include "clang/AST/DeclTemplate.h"
 #include "clang/AST/ExprCXX.h"
-#include "clang/AST/OpenMPClause.h"
 #include "clang/AST/RecursiveASTVisitor.h"
-#include "clang/AST/StmtOpenMP.h"
 #include "clang/Basic/SourceManager.h"
 #include "clang/Lex/MacroInfo.h"
 #include "clang/Lex/PPCallbacks.h"
@@ -36,19 +34,6 @@ std::string lowered(const std::string& s) {
     return static_cast<char>(std::tolower(c));
   });
   return out;
-}
-
-bool isInChronoNamespace(const clang::Decl* d) {
-  for (const clang::DeclContext* dc = d->getDeclContext(); dc != nullptr;
-       dc = dc->getParent()) {
-    if (const auto* ns = dyn_cast<clang::NamespaceDecl>(dc)) {
-      if (ns->getIdentifier() != nullptr && ns->getName() == "chrono" &&
-          ns->isInStdNamespace()) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 /// Does a statement subtree contain anything with side effects? Expr
@@ -601,41 +586,6 @@ class TidyVisitor : public clang::RecursiveASTVisitor<TidyVisitor> {
   bool shouldVisitTemplateInstantiations() const { return false; }
   bool shouldWalkTypesOfTypeLocs() const { return false; }
 
-  // --- funnel-discipline ---------------------------------------------------
-  bool VisitOMPExecutableDirective(clang::OMPExecutableDirective* d) {
-    const clang::SourceLocation loc = d->getBeginLoc();
-    if (isa<clang::OMPParallelDirective>(d) ||
-        isa<clang::OMPParallelForDirective>(d) ||
-        isa<clang::OMPParallelForSimdDirective>(d) ||
-        isa<clang::OMPParallelSectionsDirective>(d)) {
-      ctx_.reportIfActive(
-          sm_, loc, "funnel-discipline",
-          "raw '#pragma omp parallel' outside util/parallel.hpp; enter "
-          "parallelism through parallel_region()/parallel_for() so thread "
-          "count, TSan annotations, and determinism stay centralized");
-    } else if (isa<clang::OMPAtomicDirective>(d)) {
-      ctx_.reportIfActive(
-          sm_, loc, "funnel-discipline",
-          "'#pragma omp atomic' commits updates in schedule order, which "
-          "breaks bitwise reproducibility; use owner-computes writes or "
-          "parallel_sum's fixed-block reduction");
-    } else if (isa<clang::OMPCriticalDirective>(d)) {
-      ctx_.reportIfActive(
-          sm_, loc, "funnel-discipline",
-          "'#pragma omp critical' serializes in arrival order, which "
-          "breaks bitwise reproducibility; restructure as owner-computes "
-          "or a fixed-block reduction");
-    }
-    if (d->hasClausesOfKind<clang::OMPReductionClause>()) {
-      ctx_.reportIfActive(
-          sm_, loc, "funnel-discipline",
-          "OpenMP 'reduction(...)' combines partials in team order, which "
-          "is not bitwise reproducible for floating point; use "
-          "parallel_sum/parallel_max (fixed-block combining)");
-    }
-    return true;
-  }
-
   // --- float-compare -------------------------------------------------------
   bool VisitBinaryOperator(clang::BinaryOperator* b) {
     if (b->getOpcode() != clang::BO_EQ && b->getOpcode() != clang::BO_NE) {
@@ -684,40 +634,10 @@ class TidyVisitor : public clang::RecursiveASTVisitor<TidyVisitor> {
     return true;
   }
 
-  // --- no-std-rand, fd-ownership, syscall-discipline, owner-computes -------
+  // --- owner-computes ------------------------------------------------------
   bool VisitCallExpr(clang::CallExpr* c) {
     const clang::FunctionDecl* fd = c->getDirectCallee();
     if (fd == nullptr) return true;
-    if (fd->getIdentifier() != nullptr) {
-      const llvm::StringRef n = fd->getName();
-      const clang::DeclContext* dc = fd->getDeclContext()->getRedeclContext();
-      const bool global_fn = dc->isTranslationUnit() || dc->isStdNamespace();
-      if (global_fn && (n == "rand" || n == "srand" || n == "rand_r")) {
-        ctx_.reportIfActive(
-            sm_, c->getExprLoc(), "no-std-rand",
-            "'" + n.str() +
-                "()' draws from hidden global state and is not "
-                "reproducible across platforms; use hicond::Rng "
-                "(util/rng.hpp) with an explicit seed");
-      }
-      if (global_fn && n == "close") {
-        ctx_.reportIfActive(
-            sm_, c->getExprLoc(), "fd-ownership",
-            "raw close() call; descriptors must be owned by "
-            "hicond::unique_fd (util/unique_fd.hpp) so early returns and "
-            "exceptions cannot leak them -- use reset()/scope exit "
-            "instead");
-      }
-      if (global_fn && isRawIoSyscall(n)) {
-        ctx_.reportIfActive(
-            sm_, c->getExprLoc(), "syscall-discipline",
-            "direct '" + n.str() +
-                "()' outside serve/wire.{hpp,cpp}; raw I/O syscalls drop "
-                "bytes on EINTR/short transfers -- go through the wire "
-                "helpers (write_all/write_line/read_into/"
-                "drain_nonblocking)");
-      }
-    }
     const std::string qn = fd->getQualifiedNameAsString();
     if (qn == "hicond::parallel_for" ||
         qn == "hicond::parallel_for_interleaved" ||
@@ -725,34 +645,6 @@ class TidyVisitor : public clang::RecursiveASTVisitor<TidyVisitor> {
         qn == "hicond::parallel_sums" || qn == "hicond::for_each_row" ||
         qn == "hicond::parallel_max" || qn == "hicond::parallel_any") {
       checkFunnelLambda(c);
-    }
-    return true;
-  }
-
-  // --- chrono-timing -------------------------------------------------------
-  bool VisitDeclRefExpr(clang::DeclRefExpr* e) {
-    const clang::NamedDecl* d = e->getDecl();
-    if (d != nullptr && isInChronoNamespace(d)) {
-      reportChrono(e->getBeginLoc());
-    }
-    return true;
-  }
-
-  bool VisitVarDecl(clang::VarDecl* v) {
-    if (v->getType().isNull()) return true;
-    const clang::CXXRecordDecl* rd =
-        v->getType().getNonReferenceType()->getAsCXXRecordDecl();
-    if (rd != nullptr && isInChronoNamespace(rd)) {
-      reportChrono(v->getLocation());
-    }
-    checkFdOwnership(v);
-    return true;
-  }
-
-  bool VisitCXXConstructExpr(clang::CXXConstructExpr* e) {
-    const clang::CXXConstructorDecl* ctor = e->getConstructor();
-    if (ctor != nullptr && isInChronoNamespace(ctor->getParent())) {
-      reportChrono(e->getExprLoc());
     }
     return true;
   }
@@ -771,51 +663,6 @@ class TidyVisitor : public clang::RecursiveASTVisitor<TidyVisitor> {
   }
 
  private:
-  static bool isRawIoSyscall(llvm::StringRef n) {
-    static const char* kSyscalls[] = {
-        "read",  "write",  "readv",   "writev",   "pread",   "pwrite",
-        "send",  "recv",   "sendto",  "recvfrom", "sendmsg", "recvmsg",
-    };
-    return std::any_of(std::begin(kSyscalls), std::end(kSyscalls),
-                       [&](const char* s) { return n == s; });
-  }
-
-  /// `int fd = socket(...)`: the descriptor lives in a raw int, so any
-  /// early return / throw between here and the close() leaks it.
-  void checkFdOwnership(const clang::VarDecl* v) {
-    if (v->getType().isNull() ||
-        !v->getType().getNonReferenceType()->isIntegerType()) {
-      return;
-    }
-    const clang::Expr* init = v->getInit();
-    if (init == nullptr) return;
-    const auto* call =
-        dyn_cast<clang::CallExpr>(init->IgnoreParenImpCasts());
-    if (call == nullptr) return;
-    const clang::FunctionDecl* fd = call->getDirectCallee();
-    if (fd == nullptr || fd->getIdentifier() == nullptr) return;
-    const clang::DeclContext* dc = fd->getDeclContext()->getRedeclContext();
-    if (!dc->isTranslationUnit() && !dc->isStdNamespace()) return;
-    static const char* kFdProducers[] = {
-        "open",          "openat",        "creat",         "socket",
-        "accept",        "accept4",       "dup",           "dup3",
-        "eventfd",       "epoll_create",  "epoll_create1", "memfd_create",
-        "timerfd_create", "signalfd",     "inotify_init",  "inotify_init1",
-        "mkstemp",
-    };
-    const llvm::StringRef n = fd->getName();
-    const bool produces_fd =
-        std::any_of(std::begin(kFdProducers), std::end(kFdProducers),
-                    [&](const char* s) { return n == s; });
-    if (!produces_fd) return;
-    ctx_.reportIfActive(
-        sm_, v->getLocation(), "fd-ownership",
-        "descriptor returned by '" + n.str() +
-            "()' is stored in a raw int; wrap it in hicond::unique_fd "
-            "(util/unique_fd.hpp) at the call site so error paths cannot "
-            "leak it");
-  }
-
   /// Run the untrusted-size event simulation over every function body in
   /// scope for the check. Lambda call operators are covered through their
   /// enclosing function's body, so the scan treats enclosing function +
@@ -831,14 +678,6 @@ class TidyVisitor : public clang::RecursiveASTVisitor<TidyVisitor> {
       TaintScan scan(ctx_, sm_, macros_);
       scan.run(fd);
     }
-  }
-
-  void reportChrono(clang::SourceLocation loc) {
-    ctx_.reportIfActive(
-        sm_, loc, "chrono-timing",
-        "direct std::chrono use outside util/timer and obs/; time through "
-        "hicond::Timer / scoped spans so instrumentation stays uniform and "
-        "mockable");
   }
 
   void checkFunnelLambda(const clang::CallExpr* call) {

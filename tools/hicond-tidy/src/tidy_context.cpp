@@ -73,28 +73,17 @@ bool TidyContext::checkEnabledAt(const clang::SourceManager& sm,
         startsWith(r, "bench/") || startsWith(r, "fuzz/"))) {
     return false;
   }
-  // Per-check exemptions: the funnel itself must use raw OpenMP, the
-  // float-eq helpers must compare floats, and the timing utilities /
-  // observability layer own the clock.
-  if (check == "funnel-discipline" || check == "owner-computes") {
+  // Per-check exemptions: the funnel header implements the combines that
+  // owner-computes polices elsewhere, and the float-eq helpers must compare
+  // floats.
+  if (check == "owner-computes") {
     return r != "src/hicond/util/parallel.hpp";
   }
   if (check == "float-compare") {
     return r != "src/hicond/util/float_eq.hpp";
   }
-  if (check == "chrono-timing") {
-    return !(startsWith(r, "src/hicond/util/timer.") ||
-             startsWith(r, "src/hicond/obs/"));
-  }
   if (check == "ordered-iteration") {
     return startsWith(r, "src/hicond/");
-  }
-  if (check == "fd-ownership" || check == "syscall-discipline") {
-    // The wire helpers and unique_fd are the designated raw-syscall /
-    // raw-close sites everything else must route through.
-    return r != "src/hicond/serve/wire.cpp" &&
-           r != "src/hicond/serve/wire.hpp" &&
-           r != "src/hicond/util/unique_fd.hpp";
   }
   if (check == "untrusted-size") {
     // The taint model's sources (snapshot Reader, NDJSON numbers) live in

@@ -45,8 +45,8 @@ class TidyContext {
   /// Whether `check` applies at `loc`: false for invalid locations, system
   /// headers, files outside the scan scope (src/, examples/, bench/,
   /// fuzz/), and the per-check exemptions from docs/STATIC_ANALYSIS.md
-  /// (e.g. util/parallel.hpp may use raw pragmas; util/float_eq.hpp may
-  /// compare floats). In fixture mode only "is this the main file" counts.
+  /// (e.g. util/float_eq.hpp may compare floats). In fixture mode only "is
+  /// this the main file" counts.
   [[nodiscard]] bool checkEnabledAt(const clang::SourceManager& sm,
                                     clang::SourceLocation loc,
                                     llvm::StringRef check) const;

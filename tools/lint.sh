@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Lint gate for hicond: project rules + their self-tests, clang-tidy and
-# hicond-tidy (both when available).
+# hicond-tidy (both when available). Each project rule has one
+# implementation: the token rules in check_project_rules.py, or one of
+# hicond-tidy's five typed checks (docs/STATIC_ANALYSIS.md has the table).
 #
 # Usage: tools/lint.sh [build-dir]
 #
@@ -91,6 +93,8 @@ else
 fi
 
 # --- hicond-tidy ----------------------------------------------------------
+# The checks that need types or data flow: owner-computes,
+# ordered-iteration, untrusted-size, boundary-validation, float-compare.
 tidy_tool="${HICOND_TIDY_BIN:-${build_dir}/tools/hicond-tidy/hicond-tidy}"
 if [[ -x "${tidy_tool}" ]]; then
   if [[ ! -f "${build_dir}/compile_commands.json" ]]; then
@@ -113,11 +117,14 @@ if [[ -x "${tidy_tool}" ]]; then
     fi
   fi
 else
-  echo "lint.sh: hicond-tidy not built; skipping AST checks (configure" \
-       "with -DHICOND_TIDY=ON and LLVM/Clang dev packages to enable)." >&2
+  echo "lint.sh: hicond-tidy not built; skipping its five typed checks" \
+       "(configure with -DHICOND_TIDY=ON and LLVM/Clang dev packages to" \
+       "enable)." >&2
 fi
 
 # --- project rules --------------------------------------------------------
+# Every token-level rule, the moved omp-funnel/omp-determinism, no-std-rand,
+# chrono-timing, syscall-discipline and fd-ownership included.
 hash="$(stage_hash "${repo_root}/src" "${repo_root}/tests" \
   "${repo_root}/bench" "${repo_root}/benchmark" "${repo_root}/examples" \
   "${repo_root}/fuzz" "${repo_root}/tools/check_project_rules.py")"

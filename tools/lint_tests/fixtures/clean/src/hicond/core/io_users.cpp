@@ -1,4 +1,4 @@
-// Code that must NOT trip syscall-discipline / fd-close: member functions
+// Code that must NOT trip syscall-discipline / fd-ownership: member functions
 // that happen to share a syscall's name, the wire facade, a member call
 // split across a backslash continuation (the no-space join keeps the `.`
 // attached), and the pragma escape hatch.  Lint fixtures are never

@@ -1,7 +1,7 @@
 #pragma once
 
 // Stand-in for the real util/unique_fd.hpp: the single ::close() site.
-// fd-close must stay quiet here by path exemption.
+// fd-ownership must stay quiet here by path exemption.
 
 class unique_fd {
  public:

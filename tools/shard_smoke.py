@@ -37,7 +37,9 @@ deployment:
      restart/retry and topology shows a new pid.
   7. aggregated stats: the fanned-out stats document carries the aggregate
      cache/requests section, router counters, and one per-worker breakdown
-     (including the per-entry cache stats) per live worker.
+     (including the per-entry cache stats) per live worker. The router runs
+     without OMP_NUM_THREADS, so each worker reports
+     max(1, processors // workers) OpenMP threads.
   8. shutdown: drains, stops every worker process, exits 0.
 
 Usage: shard_smoke.py HICOND_ROUTER_BIN HICOND_SERVE_BIN HICOND_TOOL_BIN
@@ -77,13 +79,14 @@ class Session:
     stdin/stdout. post()/read_response() are split so the kill-mid-flight
     test can interleave a signal between request and response."""
 
-    def __init__(self, argv):
+    def __init__(self, argv, env=None):
         self.proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
         self.next_id = 0
 
@@ -289,6 +292,7 @@ def lone_server_contract(serve_bin, tool_bin, work):
     check(stats.get("ok") is True, f"stats failed: {stats}")
     check(stats["cache"]["misses"] == 1, f"expected 1 cold build: {stats}")
     check(stats["cache"]["hits"] >= LONE_BATCH_K + 2, f"hit count low: {stats}")
+    check(stats.get("threads", 0) >= 1, f"stats reports no threads: {stats}")
 
     done = session.call({"op": "shutdown"})
     check(done.get("ok") is True, f"shutdown failed: {done}")
@@ -348,13 +352,20 @@ def main():
     lone.finish()
 
     # ---- the sharded deployment -------------------------------------------
+    # Without OMP_NUM_THREADS the router gives each worker an equal share of
+    # the processors (what omp_get_num_procs() counts: the affinity mask).
+    router_env = {
+        k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"
+    }
+    worker_threads = max(1, len(os.sched_getaffinity(0)) // WORKERS)
     router = Session(
         [
             router_bin,
             "--workers", str(WORKERS),
             "--worker-bin", serve_bin,
             "--socket-dir", os.path.join(work, "sockets"),
-        ]
+        ],
+        env=router_env,
     )
     os.makedirs(os.path.join(work, "sockets"), exist_ok=True)
 
@@ -757,6 +768,11 @@ def main():
         check("stats" in row, f"up worker carries no stats doc: {row}")
         cache = row["stats"]["cache"]
         check("per_entry" in cache, "worker cache stats missing per_entry")
+        check(
+            row["stats"].get("threads") == worker_threads,
+            f"worker runs {row['stats'].get('threads')} OpenMP threads, "
+            f"expected {worker_threads}",
+        )
         entries.extend(cache["per_entry"])
     rewarm_rows = [e for e in entries if e["fingerprint"] == rewarm_fp]
     check(rewarm_rows, "re-warmed fingerprint absent from per-entry stats")
