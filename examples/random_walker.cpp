@@ -4,8 +4,8 @@
 //
 // Pixels are vertices, similar neighbours get heavy edges; each user "seed"
 // pins a class; the per-class probability that a random walk first hits a
-// seed of that class is a harmonic extension (one Dirichlet solve per
-// class) and the argmax labels every pixel.
+// seed of that class is a harmonic extension (one Dirichlet problem per
+// class, all solved as one batch) and the argmax labels every pixel.
 //
 //   ./random_walker [side] [noise]
 #include <cmath>

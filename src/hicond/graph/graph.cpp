@@ -405,49 +405,6 @@ double Graph::laplacian_quadratic(std::span<const double> x) const {
   });
 }
 
-double cap(const Graph& g, std::span<const char> in_u,
-           std::span<const char> in_w) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  HICOND_CHECK(in_u.size() == n && in_w.size() == n, "flag size mismatch");
-  for (std::size_t v = 0; v < n; ++v) {
-    // Exceptions must not escape an OpenMP region; validate up front.
-    HICOND_CHECK(!(in_u[v] && in_w[v]), "cap() sets must be disjoint");
-  }
-  return parallel_sum(n, [&](std::size_t v) {
-    if (!in_u[v]) return 0.0;
-    double acc = 0.0;
-    const auto nbrs = g.neighbors(static_cast<vidx>(v));
-    const auto ws = g.weights(static_cast<vidx>(v));
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (in_w[static_cast<std::size_t>(nbrs[i])]) acc += ws[i];
-    }
-    return acc;
-  });
-}
-
-double out_weight(const Graph& g, std::span<const char> in_s) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  HICOND_CHECK(in_s.size() == n, "flag size mismatch");
-  return parallel_sum(n, [&](std::size_t v) {
-    if (!in_s[v]) return 0.0;
-    double acc = 0.0;
-    const auto nbrs = g.neighbors(static_cast<vidx>(v));
-    const auto ws = g.weights(static_cast<vidx>(v));
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (!in_s[static_cast<std::size_t>(nbrs[i])]) acc += ws[i];
-    }
-    return acc;
-  });
-}
-
-double vol_set(const Graph& g, std::span<const char> in_s) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  HICOND_CHECK(in_s.size() == n, "flag size mismatch");
-  return parallel_sum(n, [&](std::size_t v) {
-    return in_s[v] ? g.vol(static_cast<vidx>(v)) : 0.0;
-  });
-}
-
 Graph induced_subgraph(const Graph& g, std::span<const vidx> vertices,
                        std::vector<vidx>* old_to_new) {
   std::vector<vidx> map(static_cast<std::size_t>(g.num_vertices()), -1);

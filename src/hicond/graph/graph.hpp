@@ -219,18 +219,6 @@ class Graph {
   const double* vol_ = nullptr;
 };
 
-/// cap(U, W) = total weight of edges with one endpoint flagged in `in_u` and
-/// the other flagged in `in_w`. The flag vectors must have size n and be
-/// disjoint.
-[[nodiscard]] double cap(const Graph& g, std::span<const char> in_u,
-                         std::span<const char> in_w);
-
-/// out(S) = total weight leaving the vertex set flagged by `in_s`.
-[[nodiscard]] double out_weight(const Graph& g, std::span<const char> in_s);
-
-/// vol(S) = sum of vol(v) over flagged vertices.
-[[nodiscard]] double vol_set(const Graph& g, std::span<const char> in_s);
-
 /// Induced subgraph on `vertices`; returns the graph and writes the mapping
 /// old-id -> new-id into `old_to_new` (-1 for vertices outside the set).
 [[nodiscard]] Graph induced_subgraph(const Graph& g,

@@ -7,14 +7,50 @@
 
 namespace hicond {
 
+namespace {
+
+/// Calls body(j, a_ij) for row i of g's Laplacian grounded at `ground`:
+/// the diagonal vol(v) first, then the off-diagonal entries in ascending
+/// column order, the ground's entry skipped. Rows and columns are grounded
+/// indices. Only the off-diagonal order reaches the ordering's ties and the
+/// factor's row patterns; the diagonal only seeds its own pivot.
+template <typename Body>
+void for_each_grounded_entry(const Graph& g, vidx ground, vidx i,
+                             Body&& body) {
+  const vidx v = i < ground ? i : i + 1;
+  body(i, g.vol(v));
+  const auto nbrs = g.neighbors(v);
+  const auto ws = g.weights(v);
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    if (nbrs[k] != ground) {
+      body(nbrs[k] < ground ? nbrs[k] : nbrs[k] - 1, -ws[k]);
+    }
+  }
+}
+
+}  // namespace
+
 /// Reverse Cuthill-McKee: BFS from a pseudo-peripheral vertex, neighbours
-/// visited in increasing-degree order, final order reversed.
-std::vector<vidx> compute_ordering(const CsrMatrix& a) {
-  HICOND_CHECK(a.rows == a.cols, "ordering of non-square matrix");
-  const vidx n = a.rows;
-  auto degree = [&a](vidx v) {
-    return static_cast<vidx>(a.offsets[static_cast<std::size_t>(v) + 1] -
-                             a.offsets[static_cast<std::size_t>(v)]);
+/// visited in increasing-degree order, final order reversed. A row's degree
+/// is its length in the grounded Laplacian, diagonal included.
+std::vector<vidx> compute_ordering(const Graph& g, vidx ground) {
+  HICOND_CHECK(ground >= 0 && ground < g.num_vertices(),
+               "ground vertex out of range");
+  const vidx n = g.num_vertices() - 1;
+  std::vector<vidx> row_length(static_cast<std::size_t>(n));
+  for (vidx i = 0; i < n; ++i) {
+    vidx len = 0;
+    for_each_grounded_entry(g, ground, i, [&len](vidx, double) { ++len; });
+    row_length[static_cast<std::size_t>(i)] = len;
+  }
+  auto degree = [&row_length](vidx v) {
+    return row_length[static_cast<std::size_t>(v)];
+  };
+  // Off-diagonal columns of row v, ascending.
+  auto for_each_neighbor = [&g, ground](vidx v, auto&& body) {
+    for_each_grounded_entry(g, ground, v, [&](vidx u, double) {
+      if (u != v) body(u);
+    });
   };
   std::vector<vidx> order;
   order.reserve(static_cast<std::size_t>(n));
@@ -40,16 +76,14 @@ std::vector<vidx> compute_ordering(const CsrMatrix& a) {
              degree(v) < degree(far))) {
           far = v;
         }
-        for (eidx k = a.offsets[static_cast<std::size_t>(v)];
-             k < a.offsets[static_cast<std::size_t>(v) + 1]; ++k) {
-          const vidx u = a.col_idx[static_cast<std::size_t>(k)];
-          if (u != v && dist[static_cast<std::size_t>(u)] == -1 &&
+        for_each_neighbor(v, [&](vidx u) {
+          if (dist[static_cast<std::size_t>(u)] == -1 &&
               !visited[static_cast<std::size_t>(u)]) {
             dist[static_cast<std::size_t>(u)] =
                 dist[static_cast<std::size_t>(v)] + 1;
             q.push_back(u);
           }
-        }
+        });
       }
       start = far;
     }
@@ -60,14 +94,12 @@ std::vector<vidx> compute_ordering(const CsrMatrix& a) {
       q.pop_front();
       order.push_back(v);
       nbrs.clear();
-      for (eidx k = a.offsets[static_cast<std::size_t>(v)];
-           k < a.offsets[static_cast<std::size_t>(v) + 1]; ++k) {
-        const vidx u = a.col_idx[static_cast<std::size_t>(k)];
-        if (u != v && !visited[static_cast<std::size_t>(u)]) {
+      for_each_neighbor(v, [&](vidx u) {
+        if (!visited[static_cast<std::size_t>(u)]) {
           visited[static_cast<std::size_t>(u)] = 1;
           nbrs.push_back(u);
         }
-      }
+      });
       std::sort(nbrs.begin(), nbrs.end(),
                 [&](vidx x, vidx y) { return degree(x) < degree(y); });
       for (vidx u : nbrs) q.push_back(u);
@@ -77,12 +109,11 @@ std::vector<vidx> compute_ordering(const CsrMatrix& a) {
   return order;
 }
 
-SparseLDL SparseLDL::factor(const CsrMatrix& a) {
-  HICOND_CHECK(a.rows == a.cols, "factorization of non-square matrix");
-  const vidx n = a.rows;
+SparseLDL SparseLDL::factor(const Graph& g, vidx ground) {
   SparseLDL f;
+  f.perm_ = compute_ordering(g, ground);
+  const vidx n = g.num_vertices() - 1;
   f.n_ = n;
-  f.perm_ = compute_ordering(a);
   f.perm_inv_.assign(static_cast<std::size_t>(n), 0);
   for (vidx i = 0; i < n; ++i) {
     f.perm_inv_[static_cast<std::size_t>(f.perm_[static_cast<std::size_t>(i)])] =
@@ -95,14 +126,12 @@ SparseLDL SparseLDL::factor(const CsrMatrix& a) {
   std::vector<eidx> l_nnz(static_cast<std::size_t>(n), 0);
 
   auto for_each_lower = [&](vidx k, auto&& body) {
-    const vidx orig = f.perm_[static_cast<std::size_t>(k)];
-    for (eidx p = a.offsets[static_cast<std::size_t>(orig)];
-         p < a.offsets[static_cast<std::size_t>(orig) + 1]; ++p) {
-      const vidx j =
-          f.perm_inv_[static_cast<std::size_t>(
-              a.col_idx[static_cast<std::size_t>(p)])];
-      if (j <= k) body(j, a.values[static_cast<std::size_t>(p)]);
-    }
+    for_each_grounded_entry(
+        g, ground, f.perm_[static_cast<std::size_t>(k)],
+        [&](vidx col, double value) {
+          const vidx j = f.perm_inv_[static_cast<std::size_t>(col)];
+          if (j <= k) body(j, value);
+        });
   };
 
   // Symbolic pass: elimination tree and column counts.
@@ -217,29 +246,6 @@ std::vector<double> SparseLDL::solve(std::span<const double> b) const {
   return result;
 }
 
-namespace {
-
-/// Laplacian of g restricted to all vertices except `ground`.
-CsrMatrix grounded_laplacian(const Graph& g, vidx ground) {
-  const vidx n = g.num_vertices();
-  std::vector<std::tuple<vidx, vidx, double>> triplets;
-  triplets.reserve(static_cast<std::size_t>(g.num_arcs() + n));
-  auto reduced = [ground](vidx v) { return v < ground ? v : v - 1; };
-  for (vidx v = 0; v < n; ++v) {
-    if (v == ground) continue;
-    triplets.emplace_back(reduced(v), reduced(v), g.vol(v));
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] == ground) continue;
-      triplets.emplace_back(reduced(v), reduced(nbrs[i]), -ws[i]);
-    }
-  }
-  return csr_from_triplets(n - 1, n - 1, triplets);
-}
-
-}  // namespace
-
 LaplacianDirectSolver::LaplacianDirectSolver(const Graph& g)
     : n_(g.num_vertices()) {
   HICOND_CHECK(n_ >= 1, "empty graph");
@@ -250,7 +256,7 @@ LaplacianDirectSolver::LaplacianDirectSolver(const Graph& g)
   for (vidx v = 1; v < n_; ++v) {
     if (g.vol(v) > g.vol(grounded_)) grounded_ = v;
   }
-  ldl_ = SparseLDL::factor(grounded_laplacian(g, grounded_));
+  ldl_ = SparseLDL::factor(g, grounded_);
 }
 
 std::vector<double> LaplacianDirectSolver::solve(

@@ -1,4 +1,5 @@
-// Sparse LDL' factorization under a reverse Cuthill-McKee ordering, and a
+// Sparse LDL' factorization of grounded graph Laplacians, read straight
+// from the graph's CSR rows under a reverse Cuthill-McKee ordering, and a
 // grounded pseudo-solver for singular graph Laplacians.
 //
 // This is the "exact" workhorse behind quotient solves (two-level Steiner
@@ -11,22 +12,29 @@
 #include <span>
 #include <vector>
 
-#include "hicond/la/csr.hpp"
+#include "hicond/graph/graph.hpp"
 
 namespace hicond {
 
-/// Reverse Cuthill-McKee permutation (new -> old) of a symmetric sparsity
-/// pattern: BFS from a pseudo-peripheral vertex, reversed.
-[[nodiscard]] std::vector<vidx> compute_ordering(const CsrMatrix& a);
+// The matrix both functions below read is the grounded Laplacian of a
+// graph g: its Laplacian with the row and column of vertex `ground`
+// deleted. Its indices are g's with `ground` removed (a vertex above the
+// ground moves down one). It is symmetric positive definite exactly when
+// every component of g contains the ground.
 
-/// LDL' factorization of a symmetric positive definite CSR matrix.
+/// Reverse Cuthill-McKee permutation (new -> old) of the grounded
+/// Laplacian's pattern: BFS from a pseudo-peripheral vertex, reversed.
+[[nodiscard]] std::vector<vidx> compute_ordering(const Graph& g, vidx ground);
+
+/// LDL' factorization of a grounded graph Laplacian.
 class SparseLDL {
  public:
-  /// Factor P A P' where P is the compute_ordering(a) permutation.
-  /// Throws numeric_error if a pivot is non-positive.
-  [[nodiscard]] static SparseLDL factor(const CsrMatrix& a);
+  /// Factor P A P', where A is g's Laplacian grounded at `ground` and P is
+  /// the compute_ordering(g, ground) permutation. Throws numeric_error if
+  /// a pivot is non-positive.
+  [[nodiscard]] static SparseLDL factor(const Graph& g, vidx ground);
 
-  /// Solve A x = b.
+  /// Solve A x = b (b and x in the grounded indices).
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
   [[nodiscard]] vidx dim() const noexcept { return n_; }

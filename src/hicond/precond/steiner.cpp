@@ -7,8 +7,6 @@
 #include "hicond/graph/builder.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/quotient.hpp"
-#include "hicond/la/csr.hpp"
-#include "hicond/la/sdd.hpp"
 #include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/util/parallel.hpp"
@@ -19,8 +17,10 @@ namespace {
 /// Expensive invariant sweep for a freshly built Steiner preconditioner:
 /// the quotient edge weights must equal the inter-cluster capacities
 /// cap(V_i, V_j) recomputed independently from the base graph, the star leaf
-/// weights must equal vol_A(u) (Definition 3.1), and the Laplacian of the
-/// explicit (n+m)-vertex Steiner graph must be SDD.
+/// weights must equal vol_A(u) (Definition 3.1), and the explicit
+/// (n+m)-vertex Steiner graph must pass Graph::validate: positive, finite,
+/// symmetric weights with consistent cached volumes, which is what makes
+/// its Laplacian SDD.
 void validate_steiner_invariants(const Graph& a, const Decomposition& p,
                                  const SteinerPreconditioner& sp) {
   const Graph& q = sp.quotient();
@@ -65,7 +65,7 @@ void validate_steiner_invariants(const Graph& a, const Decomposition& p,
                    "Steiner star leaf weight differs from vol_A(u)");
     }
   }
-  validate_sdd(csr_laplacian(sg));
+  sg.validate();
 }
 }  // namespace
 

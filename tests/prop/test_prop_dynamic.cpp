@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "../dipole.hpp"
 #include "hicond/certify/certify.hpp"
 #include "hicond/dynamic/repair.hpp"
 #include "hicond/dynamic/update.hpp"
@@ -200,11 +201,7 @@ void run_sequence(const Graph& g, bool compare_solvers) {
     if (compare_solvers) {
       const LaplacianSolver dynamic_solver(next, repaired);
       const LaplacianSolver rebuilt(next, {.hierarchy = ho});
-      const auto nv = static_cast<std::size_t>(next.num_vertices());
-      std::vector<double> b(nv, 0.0);
-      if (b.empty()) continue;
-      b.front() = 1.0;
-      b.back() = -1.0;
+      const std::vector<double> b = test::dipole(next);
       std::vector<double> x(b.size(), 0.0);
       const SolveStats dyn = dynamic_solver.solve(b, x);
       std::fill(x.begin(), x.end(), 0.0);

@@ -1,6 +1,6 @@
 // Cross-validation tests: identities that tie several modules together
 // against closed-form theory (CG convergence bounds, spectral expansions of
-// random walks, the double-cover identity, pipeline-level guarantees).
+// random walks, pipeline-level guarantees).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "hicond/la/cg.hpp"
 #include "hicond/la/dense_eigen.hpp"
 #include "hicond/la/lanczos.hpp"
-#include "hicond/la/sdd.hpp"
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/partition/fixed_degree.hpp"
 #include "hicond/partition/planar.hpp"
@@ -80,34 +79,6 @@ TEST(CrossValidation, RandomWalkMatchesSpectralExpansion) {
     EXPECT_NEAR(walk[static_cast<std::size_t>(v)],
                 reconstructed[static_cast<std::size_t>(v)], 1e-9);
   }
-}
-
-TEST(CrossValidation, DoubleCoverIdentity) {
-  // The Gremban cover satisfies A_hat (x; -x) = (A x; -A x) exactly; check
-  // through the SddSolver by solving and substituting back.
-  const Graph base = gen::grid2d(5, 5, gen::WeightSpec::uniform(1.0, 2.0), 9);
-  CsrMatrix a = csr_laplacian(base);
-  // Flip one off-diagonal pair positive and repair dominance via diagonal.
-  for (vidx i = 0; i < a.rows; ++i) {
-    for (eidx k = a.offsets[static_cast<std::size_t>(i)];
-         k < a.offsets[static_cast<std::size_t>(i) + 1]; ++k) {
-      const vidx j = a.col_idx[static_cast<std::size_t>(k)];
-      if ((i == 0 && j == 1) || (i == 1 && j == 0)) {
-        a.values[static_cast<std::size_t>(k)] =
-            -a.values[static_cast<std::size_t>(k)];
-      }
-      if (i == j) a.values[static_cast<std::size_t>(k)] += 0.3;
-    }
-  }
-  const SddSolver solver(a);
-  ASSERT_EQ(solver.mode(), SddSolver::Mode::double_cover);
-  Rng rng(11);
-  std::vector<double> b(25);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  const auto x = solver.solve(b);
-  std::vector<double> back(25);
-  a.multiply(x, back);
-  EXPECT_LT(la::max_abs_diff(back, b), 1e-7);
 }
 
 class PlanarSeedSweep : public testing::TestWithParam<std::uint64_t> {};

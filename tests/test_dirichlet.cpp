@@ -66,21 +66,6 @@ TEST(HarmonicExtension, SatisfiesLaplaceEquationInInterior) {
   }
 }
 
-TEST(HarmonicExtension, PcgPathMatchesDirect) {
-  const Graph g = gen::grid2d(12, 12, gen::WeightSpec::uniform(1.0, 2.0), 7);
-  const std::vector<vidx> boundary{0, 143};
-  const std::vector<double> values{1.0, 0.0};
-  DirichletOptions direct;
-  DirichletOptions iterative;
-  iterative.direct_limit = 0;  // force PCG
-  iterative.rel_tolerance = 1e-12;
-  const auto xd = harmonic_extension(g, boundary, values, direct);
-  const auto xi = harmonic_extension(g, boundary, values, iterative);
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xd[i], xi[i], 1e-7);
-  }
-}
-
 TEST(HarmonicExtension, AllBoundaryIsIdentity) {
   const Graph g = gen::path(3);
   const std::vector<vidx> boundary{0, 1, 2};

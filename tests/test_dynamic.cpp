@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dipole.hpp"
 #include "hicond/certify/certify.hpp"
 #include "hicond/certify/oracle.hpp"
 #include "hicond/dynamic/repair.hpp"
@@ -39,16 +40,6 @@ Graph path3() {
   b.add_edge(0, 1, 1.0);
   b.add_edge(1, 2, 2.0);
   return b.build();
-}
-
-/// A unit dipole: +1 on the first vertex of `g`, -1 on its last.
-std::vector<double> dipole(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  HICOND_CHECK(n >= 2, "a dipole needs two vertices");
-  std::vector<double> b(n, 0.0);
-  b.front() = 1.0;
-  b.back() = -1.0;
-  return b;
 }
 
 /// std::span cannot bind a braced list; funnel literals through a vector.
@@ -291,7 +282,7 @@ TEST(RepairDecomposition, ReweightCollapseDirtiesOnlyLocalClusters) {
 
   // The hierarchy is consumable end to end: a solver built from it solves.
   const LaplacianSolver solver(h, rr.hierarchy);
-  const std::vector<double> b = dipole(h);
+  const std::vector<double> b = test::dipole(h);
   std::vector<double> x(b.size(), 0.0);
   EXPECT_TRUE(solver.solve(b, x).converged);
 }
@@ -525,11 +516,7 @@ TEST(SolverReuse, PrebuiltHierarchyWithReuseIsBitwiseIdentical) {
   const LaplacianSolver cold(g, build_hierarchy(g, opt.hierarchy), opt);
   const LaplacianSolver reused(g, build_hierarchy(g, opt.hierarchy), opt,
                                &cold.multilevel());
-  // A unit dipole between the first and the last of the grid's 49 vertices.
-  std::vector<double> b(49, 0.0);
-  ASSERT_EQ(b.size(), static_cast<std::size_t>(g.num_vertices()));
-  b.front() = 1.0;
-  b.back() = -1.0;
+  const std::vector<double> b = test::dipole(g);
   std::vector<double> x1(b.size(), 0.0);
   std::vector<double> x2(b.size(), 0.0);
   const SolveStats s1 = cold.solve(b, x1);
@@ -567,7 +554,7 @@ TEST(HierarchyCacheUpdate, RepairsResidentEntryAndIsIdempotent) {
   EXPECT_EQ(retry.solver.get(), first.solver.get());
 
   // The new entry serves solves.
-  const std::vector<double> b = dipole(h);
+  const std::vector<double> b = test::dipole(h);
   std::vector<double> x(b.size(), 0.0);
   EXPECT_TRUE(first.solver->solve(b, x).converged);
 }
@@ -601,7 +588,7 @@ TEST(HierarchyCacheUpdate, FallsBackToColdBuildWithAReason) {
     // The forced-rebuild entry is bitwise the cold-build solver: this is
     // what makes `mode:"rebuild"` comparable against a cold snapshot load.
     const LaplacianSolver cold(h, opt);
-    const std::vector<double> b = dipole(h);
+    const std::vector<double> b = test::dipole(h);
     std::vector<double> x1(b.size(), 0.0);
     std::vector<double> x2(b.size(), 0.0);
     (void)out.solver->solve(b, x1);
@@ -633,7 +620,7 @@ TEST(HierarchyCacheUpdate, NonFixedDegreeBackendTakesColdRebuildFallback) {
   EXPECT_TRUE(out.solver->graph().identical_to(h));
 
   const LaplacianSolver cold(h, opt);
-  const std::vector<double> b = dipole(h);
+  const std::vector<double> b = test::dipole(h);
   std::vector<double> x1(b.size(), 0.0);
   std::vector<double> x2(b.size(), 0.0);
   (void)out.solver->solve(b, x1);

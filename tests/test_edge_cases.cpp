@@ -1,6 +1,6 @@
 // Targeted edge-case tests for paths not exercised by the main suites:
-// malformed sparse matrices, degenerate graphs, extreme values, and
-// multi-component behaviour of the pipeline stages.
+// degenerate graphs, extreme values, and multi-component behaviour of the
+// pipeline stages.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,50 +12,12 @@
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/io.hpp"
-#include "hicond/la/csr.hpp"
 #include "hicond/partition/planar.hpp"
 #include "hicond/tree/low_stretch.hpp"
 #include "hicond/tree/mst.hpp"
 
 namespace hicond {
 namespace {
-
-TEST(CsrValidate, CatchesStructuralCorruption) {
-  const Graph g = gen::path(4);
-  {
-    CsrMatrix m = csr_laplacian(g);
-    m.offsets.back() += 1;  // wrong end pointer
-    EXPECT_THROW(m.validate(), invalid_argument_error);
-  }
-  {
-    CsrMatrix m = csr_laplacian(g);
-    m.col_idx[1] = 99;  // out of range column
-    EXPECT_THROW(m.validate(), invalid_argument_error);
-  }
-  {
-    CsrMatrix m = csr_laplacian(g);
-    std::swap(m.col_idx[0], m.col_idx[1]);  // unsorted row
-    EXPECT_THROW(m.validate(), invalid_argument_error);
-  }
-  {
-    CsrMatrix m = csr_laplacian(g);
-    m.values[0] = std::nan("");
-    EXPECT_THROW(m.validate(), invalid_argument_error);
-  }
-}
-
-TEST(CsrMatrix, EmptyRowsMultiplyCleanly) {
-  // Matrix with empty first and last rows.
-  std::vector<std::tuple<vidx, vidx, double>> t{{1, 0, 2.0}, {1, 2, 3.0}};
-  const CsrMatrix m = csr_from_triplets(3, 3, t);
-  m.validate();
-  std::vector<double> x{1.0, 1.0, 1.0};
-  std::vector<double> y(3, -1.0);
-  m.multiply(x, y);
-  EXPECT_DOUBLE_EQ(y[0], 0.0);
-  EXPECT_DOUBLE_EQ(y[1], 5.0);
-  EXPECT_DOUBLE_EQ(y[2], 0.0);
-}
 
 TEST(ConductanceSweep, ConstantScoresStillValid) {
   const Graph g = gen::grid2d(3, 3);

@@ -121,25 +121,6 @@ TEST(Graph, QuadraticFormOfEdgeIndicator) {
   EXPECT_DOUBLE_EQ(g.laplacian_quadratic(x), 4.0);
 }
 
-TEST(GraphSetOps, CapVolOut) {
-  const Graph g = triangle();
-  std::vector<char> s{1, 0, 0};
-  std::vector<char> t{0, 1, 0};
-  EXPECT_DOUBLE_EQ(cap(g, s, t), 1.0);
-  EXPECT_DOUBLE_EQ(out_weight(g, s), 4.0);
-  EXPECT_DOUBLE_EQ(vol_set(g, s), 4.0);
-  std::vector<char> st{1, 1, 0};
-  EXPECT_DOUBLE_EQ(out_weight(g, st), 5.0);
-  EXPECT_DOUBLE_EQ(vol_set(g, st), 7.0);
-}
-
-TEST(GraphSetOps, CapRejectsOverlap) {
-  const Graph g = triangle();
-  std::vector<char> s{1, 1, 0};
-  std::vector<char> t{0, 1, 1};
-  EXPECT_THROW((void)cap(g, s, t), invalid_argument_error);
-}
-
 TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
   const Graph g = gen::grid2d(3, 3, gen::WeightSpec::unit(), 1);
   const std::vector<vidx> verts{0, 1, 3, 4};  // top-left 2x2 block

@@ -13,7 +13,6 @@
 
 #include "hicond/graph/generators.hpp"
 #include "hicond/graph/graph.hpp"
-#include "hicond/la/csr.hpp"
 #include "hicond/partition/decomposition.hpp"
 #include "hicond/tree/rooted_tree.hpp"
 
@@ -231,28 +230,6 @@ TEST(GraphFromCsrParity, LowestViolatingVertexWinsAtEveryThreadCount) {
     EXPECT_NE(what.find("target out of range"), std::string::npos)
         << "threads=" << threads << " message was: " << what;
   }
-}
-
-// --- CsrMatrix::validate --------------------------------------------------
-
-TEST(CsrValidate, RejectsRaggedOffsets) {
-  CsrMatrix m;
-  m.rows = 3;
-  m.cols = 2;
-  m.offsets = {0, 2, 1, 2};  // interior dip: ragged
-  m.col_idx = {0, 1};
-  m.values = {1.0, 1.0};
-  expect_rejected([&] { m.validate(); }, "ragged offsets");
-}
-
-TEST(CsrValidate, RejectsUnsortedColumns) {
-  CsrMatrix m;
-  m.rows = 1;
-  m.cols = 3;
-  m.offsets = {0, 2};
-  m.col_idx = {2, 0};
-  m.values = {1.0, 1.0};
-  expect_rejected([&] { m.validate(); }, "columns not strictly increasing");
 }
 
 // --- Decomposition::validate ----------------------------------------------
