@@ -139,6 +139,16 @@ TEST(ServeCache, DistinctOptionsAreDistinctEntries) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
+TEST(ServeCache, DefaultOptionsKeyIsPinned) {
+  // The cache key is a canonical rendering: a change of format silently
+  // splits or merges cache entries, so its exact text is pinned.
+  EXPECT_EQ(serve::solver_options_key(LaplacianSolverOptions{}),
+            "backend=fixed_degree;fd.max_cluster_size=4;fd.seed=1;"
+            "fd.perturb=1;h.coarsest_size=256;h.max_levels=40;h.refine=0;"
+            "r.gamma_floor=0.29999999999999999;r.max_rounds=10;"
+            "rel_tolerance=1e-08;max_iterations=10000;");
+}
+
 TEST(ServeCache, SameFingerprintDifferentBackendsAreIsolatedEntries) {
   // Satellite regression for the backend registry: one graph, two
   // contraction backends. Their canonical options must differ, they must
@@ -550,6 +560,102 @@ TEST(ServeServer, MalformedAndUnknownRequestsAreErrors) {
       R"({"op":"solve","graph":"0000000000000000","rhs_seed":1})");
   EXPECT_FALSE(missing.at("ok").boolean);
   EXPECT_EQ(missing.at("error").string, "not_found");
+}
+
+/// `values` as a JSON array, written by the library's own writer.
+std::string json_array(const std::vector<double>& values) {
+  obs::JsonWriter w;
+  w.begin_array();
+  for (const double v : values) {
+    w.value(v);
+  }
+  w.end_array();
+  return w.str();
+}
+
+TEST(ServeServer, ShippedVectorsSolveBitwiseLikeServerSideSeeds) {
+  // A right-hand side shipped as JSON numbers must reach the solver with
+  // every bit, and the returned x must parse back to the solution the
+  // server fingerprinted.
+  const Graph g = test_graph();
+  const std::string path = write_test_snapshot(g, "serve_shipped.hsnap");
+  const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
+                  .at("ok")
+                  .boolean);
+  const std::vector<double> b = mean_free_rhs(g.num_vertices(), 42);
+  const auto seeded = call(core, R"({"op":"solve","graph":")" + fp +
+                                     R"(","rhs_seed":42})");
+  const auto shipped = call(core, R"({"op":"solve","graph":")" + fp +
+                                      R"(","return_x":true,"b":)" +
+                                      json_array(b) + "}");
+  ASSERT_TRUE(shipped.at("ok").boolean);
+  EXPECT_EQ(shipped.at("solution_fnv").string,
+            seeded.at("solution_fnv").string);
+  std::vector<double> x;
+  for (const obs::JsonValue& xi : shipped.at("x").array) {
+    x.push_back(xi.number);
+  }
+  EXPECT_EQ(serve::fingerprint_hex(serve::solution_fingerprint(x)),
+            shipped.at("solution_fnv").string);
+
+  const auto batch = call(core, R"({"op":"batch_solve","graph":")" + fp +
+                                    R"(","rhs":[)" + json_array(b) + "," +
+                                    json_array(b) + "]}");
+  ASSERT_TRUE(batch.at("ok").boolean);
+  ASSERT_EQ(batch.at("solution_fnv").array.size(), 2U);
+  for (const obs::JsonValue& h : batch.at("solution_fnv").array) {
+    EXPECT_EQ(h.string, seeded.at("solution_fnv").string);
+  }
+}
+
+TEST(ServeServer, VectorErrorPathsArePinned) {
+  // Each malformed vector is a bad_request naming what is wrong with it.
+  // The message ends with the check's text; what precedes it names the
+  // failed check and its source line.
+  const Graph g = test_graph();
+  const std::string path = write_test_snapshot(g, "serve_vec_err.hsnap");
+  const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
+                  .at("ok")
+                  .boolean);
+  std::vector<double> ones(static_cast<std::size_t>(g.num_vertices()), 1.0);
+  std::string with_string = json_array(ones);
+  with_string.replace(with_string.rfind('1'), 1, R"("x")");
+  const std::string solve =
+      R"({"id":9,"op":"solve","graph":")" + fp + R"(","b":)";
+  const std::string batch =
+      R"({"id":9,"op":"batch_solve","graph":")" + fp + R"(","rhs":)";
+  const std::string update =
+      R"({"id":9,"op":"update","graph":")" + fp + R"(","updates":)";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {solve + with_string + "}", "right-hand side entries must be numbers"},
+      {solve + "[1,2,3]}", "right-hand side length does not match the graph"},
+      {solve + "[]}", "right-hand side length does not match the graph"},
+      {solve + "7}", "right-hand side must be a JSON array"},
+      {batch + "[" + json_array(ones) + ",5]}",
+       "right-hand side must be a JSON array"},
+      {batch + "[1,2,3]}", "right-hand side must be a JSON array"},
+      {batch + "[[1,2],[]]}",
+       "right-hand side length does not match the graph"},
+      {batch + "[]}", "batch_solve needs at least one rhs"},
+      {batch + "4}", "rhs must be an array of arrays"},
+      {update + "[1,2]}", "each update must be a JSON object"},
+      {update + "3}", "updates must be a JSON array"},
+  };
+  for (const auto& [line, message] : cases) {
+    const auto r = call(core, line);
+    EXPECT_FALSE(r.at("ok").boolean) << line;
+    EXPECT_EQ(r.at("error").string, "bad_request") << line;
+    EXPECT_EQ(static_cast<int>(r.at("id").number), 9) << line;
+    const std::string& got = r.at("message").string;
+    const std::string tail = ": " + message;
+    EXPECT_TRUE(got.size() >= tail.size() &&
+                got.compare(got.size() - tail.size(), tail.size(), tail) == 0)
+        << line.substr(0, 120) << " -> " << got;
+  }
 }
 
 TEST(ServeServer, SubmitHoldsOneRequestUntilStepped) {

@@ -18,11 +18,16 @@ deployment:
      the server keeps serving; stats count one cold build; shutdown exits 0.
   2. reference: a lone hicond_serve answers every solve/batch_solve first;
      its solution_fnv values are the ground truth for bitwise equality.
+     It also answers requests that ship vectors: a solve and a batch_solve
+     with explicit right-hand sides, and four malformed vectors (a string
+     entry, a wrong length, an empty b, an rhs column that is no array).
   3. topology: the router reports 3 live workers with distinct pids, the
      ring parameters, and -- after loads -- each graph's owning worker.
   4. routing: every solve and batch_solve routed through the router returns
      solution_fnv values byte-identical to the lone server's; warm repeats
-     are cache hits with identical bits. A shutdown line whose id is -2 (not
+     are cache hits with identical bits. The vector-shipping requests get
+     the lone server's solution_fnv and x, and its error responses byte
+     for byte (id aside). A shutdown line whose id is -2 (not
      an id at all) is refused with parse_error, and the deployment keeps
      serving.
   5. backends: solves carrying a partitioner-backend selection route to
@@ -125,6 +130,33 @@ class Session:
             f"server exited {self.proc.returncode}; stderr:\n{err}",
         )
         check(not out.strip(), f"unexpected trailing output: {out!r}")
+
+
+def vector_requests(fp, n):
+    """Requests that ship vectors to graph `fp` with `n` vertices: two that
+    solve, then four malformed ones, each refused with its own message."""
+    raw = [((i * 7919) % 1009) / 1009.0 + 1.0 / (i + 3) for i in range(n)]
+    mean = sum(raw) / n
+    b = [v - mean for v in raw]
+    return [
+        {"op": "solve", "graph": fp, "b": b, "return_x": True},
+        {"op": "batch_solve", "graph": fp, "rhs": [b, b[::-1]],
+         "return_x": True},
+        {"op": "solve", "graph": fp, "b": b[:-1] + ["x"]},
+        {"op": "solve", "graph": fp, "b": b[:-1]},
+        {"op": "solve", "graph": fp, "b": []},
+        {"op": "batch_solve", "graph": fp, "rhs": [b, 5]},
+    ]
+
+
+def vector_answer(response):
+    """What a vector-shipping response must repeat exactly: everything but
+    the id, the timings and the cache state."""
+    return {
+        k: v
+        for k, v in response.items()
+        if k not in ("id", "setup_seconds", "solve_seconds", "cache_hit")
+    }
 
 
 def run(tool, *args):
@@ -330,11 +362,12 @@ def main():
     # ---- lone-server pass: the single-server contract, then ground truth ---
     lone_server_contract(serve_bin, tool_bin, work)
     lone = Session([serve_bin])
-    truth_solve, truth_batch = {}, {}
+    truth_solve, truth_batch, sizes = {}, {}, {}
     for snap, fp in zip(snaps + [big_snap], fingerprints + [big_fp]):
         loaded = lone.call({"op": "load", "path": snap})
         check(loaded.get("ok") is True, f"reference load failed: {loaded}")
         check(loaded.get("graph") == fp, "reference fingerprint mismatch")
+        sizes[fp] = loaded["n"]
         solved = lone.call({"op": "solve", "graph": fp, "rhs_seed": RHS_SEED})
         check(solved.get("ok") is True, f"reference solve failed: {solved}")
         truth_solve[fp] = solved["solution_fnv"]
@@ -347,6 +380,12 @@ def main():
     )
     check(batch.get("ok") is True, f"reference batch failed: {batch}")
     truth_batch[fingerprints[0]] = batch["solution_fnv"]
+    shipped = vector_requests(fingerprints[0], sizes[fingerprints[0]])
+    truth_shipped = [vector_answer(lone.call(r)) for r in shipped]
+    check(
+        [t.get("ok") for t in truth_shipped] == [True] * 2 + [False] * 4,
+        f"reference vector requests: {[t.get('ok') for t in truth_shipped]}",
+    )
     shut = lone.call({"op": "shutdown"})
     check(shut.get("ok") is True, "reference shutdown failed")
     lone.finish()
@@ -428,6 +467,13 @@ def main():
         "routed batch_solve columns are not bitwise equal to the lone "
         "server's",
     )
+    for request, truth in zip(shipped, truth_shipped):
+        got = vector_answer(router.call(request))
+        check(
+            got == truth,
+            f"routed {request['op']} shipping vectors diverged from the lone "
+            f"server: {str(got)[:300]} != {str(truth)[:300]}",
+        )
     print("shard_smoke: routed solves bitwise-identical to lone server")
 
     # ---- a shutdown whose id is not an id ---------------------------------
