@@ -130,9 +130,7 @@ class Ledger {
     }
     w.end_array().key("series").begin_object();
     for (const auto& [name, values] : series_) {
-      w.key(name).begin_array();
-      for (double v : values) w.value(v);
-      w.end_array();
+      w.key(name).values(values);
     }
     w.end_object().kv("failed", failed).end_object();
     *out = w.str();

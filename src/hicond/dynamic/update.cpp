@@ -169,9 +169,13 @@ std::vector<vidx> touched_vertices(std::span<const EdgeUpdate> updates) {
 
 std::vector<EdgeUpdate> parse_updates(const obs::JsonValue& array,
                                       std::size_t max_updates) {
-  HICOND_CHECK(array.is_array(), "updates must be a JSON array");
+  // A request envelope packs an all-number array (obs::parse_json_packed);
+  // its entries are numbers, not update objects.
+  HICOND_CHECK(array.is_array() || array.is_number_array(),
+               "updates must be a JSON array");
   const std::size_t count =
-      checked_size(array.array.size(), max_updates, "updates count");
+      checked_size(array.size(), max_updates, "updates count");
+  HICOND_CHECK(!array.is_number_array(), "each update must be a JSON object");
   std::vector<EdgeUpdate> updates;
   updates.reserve(count);
   for (const obs::JsonValue& item : array.array) {

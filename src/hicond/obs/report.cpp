@@ -125,9 +125,7 @@ std::string SolverReport::to_json() const {
   w.kv("converged", converged);
   w.kv("final_relative_residual", final_relative_residual);
   w.kv("solve_seconds", solve_seconds);
-  w.key("residual_history").begin_array();
-  for (const double r : residual_history) w.value(r);
-  w.end_array();
+  w.key("residual_history").values(residual_history);
   w.end_object();
   w.end_object();
   return w.str();

@@ -123,7 +123,7 @@ namespace detail {
 
 /// Shared canonical-key renderers for options_key implementations:
 /// "name=value;" fragments, integers via to_string and doubles via %.17g
-/// (the same rendering serve::solver_options_key uses).
+/// (serve::solver_options_key renders its own fields with them too).
 void append_key_int(std::string& out, const char* name, long long v);
 void append_key_double(std::string& out, const char* name, double v);
 

@@ -1,7 +1,5 @@
 #include "hicond/serve/cache.hpp"
 
-#include <cstdio>
-
 #include "hicond/obs/metrics.hpp"
 #include "hicond/partition/backends/backend.hpp"
 #include "hicond/serve/snapshot.hpp"
@@ -10,19 +8,6 @@
 namespace hicond::serve {
 
 namespace {
-
-void append_double(std::string& out, const char* name, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s=%.17g;", name, v);
-  out += buf;
-}
-
-void append_int(std::string& out, const char* name, long long v) {
-  out += name;
-  out += '=';
-  out += std::to_string(v);
-  out += ';';
-}
 
 std::size_t graph_bytes(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
@@ -46,13 +31,15 @@ std::string solver_options_key(const LaplacianSolverOptions& options) {
   // "backend=<name>;" + the backend's rendering of the knobs it consumes --
   // the same contraction under two backends can never share a cache entry.
   key += partition::backend_options_key(h.contraction);
-  append_int(key, "h.coarsest_size", h.coarsest_size);
-  append_int(key, "h.max_levels", h.max_levels);
-  append_int(key, "h.refine", h.refine ? 1 : 0);
-  append_double(key, "r.gamma_floor", h.refinement.gamma_floor);
-  append_int(key, "r.max_rounds", h.refinement.max_rounds);
-  append_double(key, "rel_tolerance", options.rel_tolerance);
-  append_int(key, "max_iterations", options.max_iterations);
+  using partition::detail::append_key_double;
+  using partition::detail::append_key_int;
+  append_key_int(key, "h.coarsest_size", h.coarsest_size);
+  append_key_int(key, "h.max_levels", h.max_levels);
+  append_key_int(key, "h.refine", h.refine ? 1 : 0);
+  append_key_double(key, "r.gamma_floor", h.refinement.gamma_floor);
+  append_key_int(key, "r.max_rounds", h.refinement.max_rounds);
+  append_key_double(key, "rel_tolerance", options.rel_tolerance);
+  append_key_int(key, "max_iterations", options.max_iterations);
   return key;
 }
 

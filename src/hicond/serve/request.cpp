@@ -13,7 +13,7 @@ std::optional<std::string> parse_envelope(const std::string& line,
   out.id = -1;
   out.deadline_ms = default_deadline_ms > 0.0 ? default_deadline_ms : -1.0;
   try {
-    out.request = obs::parse_json(line);
+    out.request = obs::parse_json_packed(line);
     HICOND_CHECK(out.request.is_object(), "request must be a JSON object");
     out.id = integer_field(out.request, "id", 0, kMaxWireInteger, -1);
     const obs::JsonValue* op = out.request.find("op");

@@ -32,7 +32,9 @@ inline constexpr std::int64_t kMaxWireInteger = std::int64_t{1} << 53;
 
 /// A request line that passed parse_envelope().
 struct Envelope {
-  obs::JsonValue request;     ///< the whole parsed line
+  /// The whole parsed line, every all-number array packed
+  /// (obs::parse_json_packed): a shipped vector is one std::vector<double>.
+  obs::JsonValue request;
   std::string op;
   std::int64_t id = -1;       ///< -1 when the line carries no "id"
   double deadline_ms = -1.0;  ///< < 0: no deadline

@@ -85,7 +85,8 @@ class ServerCore {
     Timer since_submit;  ///< deadline clock starts at admission
   };
 
-  std::string process(const Pending& request);
+  /// Consumes `request`: shipped vectors are moved out of its envelope.
+  std::string process(Pending& request);
 
   ServerOptions options_;
   HierarchyCache cache_;
