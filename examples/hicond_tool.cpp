@@ -522,11 +522,9 @@ int main(int argc, char** argv) {
     rc = cmd_compare_backends(n_args, args.data());
   } else if (std::strcmp(args[1], "solve") == 0) {
     rc = cmd_solve(n_args, args.data());
-  } else if (std::strcmp(args[1], "snapshot-convert") == 0 ||
-             std::strcmp(args[1], "--snapshot-convert") == 0) {
+  } else if (std::strcmp(args[1], "snapshot-convert") == 0) {
     rc = cmd_snapshot_convert(n_args, args.data());
-  } else if (std::strcmp(args[1], "fingerprint") == 0 ||
-             std::strcmp(args[1], "--fingerprint") == 0) {
+  } else if (std::strcmp(args[1], "fingerprint") == 0) {
     rc = cmd_fingerprint(n_args, args.data());
   } else if (std::strcmp(args[1], "mutate") == 0) {
     rc = cmd_mutate(n_args, args.data());

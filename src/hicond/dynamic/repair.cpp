@@ -1,13 +1,11 @@
 #include "hicond/dynamic/repair.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <utility>
 
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/quotient.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/partition/cluster_index.hpp"
 #include "hicond/partition/fixed_degree.hpp"
@@ -20,7 +18,6 @@ RepairResult declined(const char* reason) {
   RepairResult r;
   r.repaired = false;
   r.decline_reason = reason;
-  obs::MetricsRegistry::global().counter_add("dynamic.repair_declines");
   return r;
 }
 
@@ -98,9 +95,6 @@ RepairResult repair_decomposition(const Graph& new_graph,
         ++clusters_dirty;
       }
     }
-    obs::MetricsRegistry::global().counter_add(
-        "dynamic.clusters_scored",
-        static_cast<std::int64_t>(candidates.size()));
   }
 
   RepairResult result;
@@ -219,12 +213,6 @@ RepairResult repair_decomposition(const Graph& new_graph,
     result.upper_rebuilt = true;
   }
   result.repaired = true;
-  obs::MetricsRegistry::global().counter_add("dynamic.repairs");
-  if (result.upper_rebuilt) {
-    obs::MetricsRegistry::global().counter_add("dynamic.upper_rebuilds");
-  }
-  obs::MetricsRegistry::global().histogram_record(
-      "dynamic.clusters_touched", static_cast<double>(result.clusters_touched));
   return result;
 }
 

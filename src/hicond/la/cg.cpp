@@ -4,7 +4,6 @@
 #include <initializer_list>
 
 #include "hicond/la/cg_block.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/util/block.hpp"
 #include "hicond/util/parallel.hpp"
@@ -279,16 +278,9 @@ std::vector<SolveStats> block_cg(const BlockOperator& a,
     compact({&r, &p, &z_prev});  // r'z = 0: the column stagnated, freeze
   }
 
-  auto& metrics = obs::MetricsRegistry::global();
   for (std::size_t j = 0; j < uk; ++j) {
     stats[j].final_relative_residual =
         b_norm[j] > 0.0 ? r_norm[j] / b_norm[j] : r_norm[j];
-    metrics.counter_add("cg.solves");
-    metrics.counter_add("cg.iterations", stats[j].iterations);
-    if (stats[j].iterations > 0) {
-      metrics.histogram_record("cg.iterations_per_solve",
-                               static_cast<double>(stats[j].iterations));
-    }
   }
   return stats;
 }

@@ -1,8 +1,8 @@
 // Minimal JSON support for the observability subsystem.
 //
-// All obs exporters (Chrome trace events, metrics registry, solver reports,
-// the paper_claims ledger) and the serve responses emit JSON through the one
-// JsonWriter here, so escaping and number formatting live in a single place.
+// All obs exporters (Chrome trace events, solver reports, the paper_claims
+// ledger) and the serve responses emit JSON through the one JsonWriter here,
+// so escaping and number formatting live in a single place.
 // A double prints in its shortest round-trip form (std::to_chars): the
 // fewest digits that parse back to the same bits, so 0.1 is "0.1". The
 // companion recursive-descent parser reads serve requests and the shard

@@ -1,7 +1,6 @@
 #include "hicond/partition/hierarchy.hpp"
 
 #include "hicond/graph/quotient.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/util/timer.hpp"
 
@@ -44,17 +43,12 @@ LaminarHierarchy build_hierarchy(const Graph& g,
     Graph next = quotient_graph(current, level_decomp.assignment);
     HICOND_RUN_VALIDATION(expensive, level_decomp.validate(current));
     const double level_seconds = level_timer.seconds();
-    obs::MetricsRegistry::global().histogram_record(
-        "hierarchy.level_build_seconds", level_seconds);
     h.levels.push_back(
         {std::move(current), std::move(level_decomp), level_seconds});
     current = std::move(next);
   }
   h.coarsest = std::move(current);
   HICOND_RUN_VALIDATION(expensive, h.coarsest.validate());
-  obs::MetricsRegistry::global().counter_add("hierarchy.builds");
-  obs::MetricsRegistry::global().gauge_set(
-      "hierarchy.levels", static_cast<double>(h.num_levels()));
   return h;
 }
 

@@ -7,7 +7,6 @@
 #include "hicond/graph/builder.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/la/lanczos.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/tree/low_stretch.hpp"
 #include "hicond/tree/mst.hpp"
@@ -133,7 +132,6 @@ PlanarDecompResult planar_decomposition(const Graph& a,
   HICOND_CHECK(opt.off_tree_fraction >= 0.0 && opt.off_tree_fraction <= 1.0,
                "off_tree_fraction must be in [0, 1]");
   HICOND_SPAN("planar.decompose");
-  obs::MetricsRegistry::global().counter_add("planar_decomposition.runs");
   PlanarDecompResult result;
   const vidx n = a.num_vertices();
   const Graph tree = opt.tree_kind == SpanningTreeKind::max_weight

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "hicond/la/vector_ops.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/util/block.hpp"
 #include "hicond/util/parallel.hpp"
@@ -56,7 +55,6 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
     if (reuse != nullptr && reuse->coarsest_solver != nullptr &&
         s.state_->hierarchy.coarsest.identical_to(reuse->hierarchy.coarsest)) {
       s.state_->coarsest_solver = reuse->coarsest_solver;
-      obs::MetricsRegistry::global().counter_add("multilevel.coarsest_reuses");
     } else {
       s.state_->coarsest_solver = std::make_shared<LaplacianDirectSolver>(
           s.state_->hierarchy.coarsest);
@@ -64,7 +62,6 @@ MultilevelSteinerSolver MultilevelSteinerSolver::build_impl(
   }
   s.state_->cycle_stats.assign(
       static_cast<std::size_t>(s.state_->hierarchy.num_levels()) + 1, {});
-  obs::MetricsRegistry::global().counter_add("multilevel.builds");
   return s;
 }
 

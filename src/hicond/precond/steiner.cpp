@@ -7,7 +7,6 @@
 #include "hicond/graph/builder.hpp"
 #include "hicond/graph/connectivity.hpp"
 #include "hicond/graph/quotient.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/util/parallel.hpp"
 
@@ -92,7 +91,6 @@ SteinerPreconditioner SteinerPreconditioner::build(const Graph& a,
                                                    const Decomposition& p) {
   p.validate(a);
   HICOND_SPAN("steiner.build");
-  obs::MetricsRegistry::global().counter_add("steiner.builds");
   SteinerPreconditioner sp;
   sp.assignment_ = p.assignment;
   const vidx n = a.num_vertices();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hicond/obs/metrics.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/util/timer.hpp"
 
@@ -44,12 +43,6 @@ BatchSolveResult batch_solve(const LaplacianSolver& solver,
     result.x.emplace_back(begin, begin + static_cast<std::ptrdiff_t>(n));
     result.solution_hash.push_back(solution_fingerprint(result.x.back()));
   }
-
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter_add("serve.batch.requests");
-  metrics.counter_add("serve.batch.rhs", k);
-  metrics.histogram_record("serve.batch.rhs_per_request",
-                           static_cast<double>(k));
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "hicond/serve/cache.hpp"
 
-#include "hicond/obs/metrics.hpp"
 #include "hicond/partition/backends/backend.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/util/timer.hpp"
@@ -14,12 +13,6 @@ std::size_t graph_bytes(const Graph& g) {
   const auto arcs = static_cast<std::size_t>(g.num_arcs());
   // offsets + vol (8B each per vertex), targets (4B) + weights (8B) per arc.
   return (n + 1) * 8 + n * 8 + arcs * 12;
-}
-
-void record_gauges(const HierarchyCache::Stats& s) {
-  auto& m = obs::MetricsRegistry::global();
-  m.gauge_set("serve.cache.bytes", static_cast<double>(s.bytes));
-  m.gauge_set("serve.cache.entries", static_cast<double>(s.entries));
 }
 
 }  // namespace
@@ -70,7 +63,6 @@ HierarchyCache::Lookup HierarchyCache::get_or_build(
                   "cache fingerprint does not match the supplied graph");
   const std::string options_key = solver_options_key(options);
   const std::string key = fingerprint_hex(fingerprint) + "|" + options_key;
-  auto& metrics = obs::MetricsRegistry::global();
   {
     const MutexLock lock(mu_);
     if (const auto it = index_.find(key); it != index_.end()) {
@@ -78,7 +70,6 @@ HierarchyCache::Lookup HierarchyCache::get_or_build(
       ++hits_;
       it->second->hits += 1;
       it->second->last_use = ++ticks_;
-      metrics.counter_add("serve.cache.hits");
       return {it->second->solver, /*hit=*/true, 0.0};
     }
     ++ticks_;
@@ -89,7 +80,6 @@ HierarchyCache::Lookup HierarchyCache::get_or_build(
   auto solver = std::make_shared<const LaplacianSolver>(graph, options);
   const double build_seconds = build_timer.seconds();
   const std::size_t bytes = approx_solver_bytes(*solver);
-  Stats snapshot;
   {
     const MutexLock lock(mu_);
     ++misses_;
@@ -104,11 +94,7 @@ HierarchyCache::Lookup HierarchyCache::get_or_build(
     index_[key] = lru_.begin();
     bytes_ += bytes;
     evict_to_budget_locked();
-    snapshot = stats_locked();
   }
-  metrics.counter_add("serve.cache.misses");
-  metrics.histogram_record("serve.cache.build_seconds", build_seconds);
-  record_gauges(snapshot);
   return {std::move(solver), /*hit=*/false, build_seconds};
 }
 
@@ -122,7 +108,6 @@ HierarchyCache::UpdateOutcome HierarchyCache::update_entry(
   const std::string options_key = solver_options_key(options);
   const std::string key =
       fingerprint_hex(new_fingerprint) + "|" + options_key;
-  auto& metrics = obs::MetricsRegistry::global();
   UpdateOutcome outcome;
   {
     const MutexLock lock(mu_);
@@ -133,7 +118,6 @@ HierarchyCache::UpdateOutcome HierarchyCache::update_entry(
       ++hits_;
       it->second->hits += 1;
       it->second->last_use = ++ticks_;
-      metrics.counter_add("serve.cache.update_idempotent_hits");
       outcome.solver = it->second->solver;
       outcome.already_cached = true;
       return outcome;
@@ -171,7 +155,6 @@ HierarchyCache::UpdateOutcome HierarchyCache::update_entry(
   }
   outcome.build_seconds = build_timer.seconds();
   const std::size_t bytes = approx_solver_bytes(*solver);
-  Stats snapshot;
   {
     const MutexLock lock(mu_);
     ++misses_;
@@ -187,14 +170,7 @@ HierarchyCache::UpdateOutcome HierarchyCache::update_entry(
     index_[key] = lru_.begin();
     bytes_ += bytes;
     evict_to_budget_locked();
-    snapshot = stats_locked();
   }
-  metrics.counter_add("serve.cache.updates");
-  metrics.counter_add(outcome.repaired ? "serve.cache.update_repairs"
-                                       : "serve.cache.update_cold_builds");
-  metrics.histogram_record("serve.cache.build_seconds",
-                           outcome.build_seconds);
-  record_gauges(snapshot);
   outcome.solver = std::move(solver);
   return outcome;
 }
@@ -209,18 +185,17 @@ std::shared_ptr<const LaplacianSolver> HierarchyCache::peek(
 }
 
 void HierarchyCache::evict_to_budget_locked() {
-  auto& metrics = obs::MetricsRegistry::global();
   while (bytes_ > budget_bytes_ && lru_.size() > 1) {
     const Entry& victim = lru_.back();
     bytes_ -= victim.bytes;
     index_.erase(victim.key);
     lru_.pop_back();
     ++evictions_;
-    metrics.counter_add("serve.cache.evictions");
   }
 }
 
-HierarchyCache::Stats HierarchyCache::stats_locked() const {
+HierarchyCache::Stats HierarchyCache::stats() const {
+  const MutexLock lock(mu_);
   Stats s{hits_,       misses_, evictions_,    lru_.size(),
           bytes_,      budget_bytes_, ticks_,  {}};
   s.per_entry.reserve(lru_.size());
@@ -231,17 +206,11 @@ HierarchyCache::Stats HierarchyCache::stats_locked() const {
   return s;
 }
 
-HierarchyCache::Stats HierarchyCache::stats() const {
-  const MutexLock lock(mu_);
-  return stats_locked();
-}
-
 void HierarchyCache::clear() {
   const MutexLock lock(mu_);
   lru_.clear();
   index_.clear();
   bytes_ = 0;
-  record_gauges(stats_locked());
 }
 
 }  // namespace hicond::serve

@@ -13,8 +13,9 @@
 //
 // Eviction is least-recently-used under a byte budget; entry sizes are the
 // dominant CSR/hierarchy footprints (graphs, assignments, inverse
-// diagonals) estimated from the built hierarchy. Hit/miss/eviction counts
-// and the resident byte gauge go to obs/metrics under "serve.cache.*".
+// diagonals) estimated from the built hierarchy. Hit/miss/eviction counts,
+// resident entries and bytes are read through stats(), which the server's
+// `stats` op renders.
 #pragma once
 
 #include <cstdint>
@@ -133,7 +134,6 @@ class HierarchyCache {
   };
 
   void evict_to_budget_locked() HICOND_REQUIRES(mu_);
-  [[nodiscard]] Stats stats_locked() const HICOND_REQUIRES(mu_);
 
   mutable Mutex mu_;
   const std::size_t budget_bytes_;  ///< immutable after construction

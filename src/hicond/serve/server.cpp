@@ -13,7 +13,6 @@
 #include "hicond/graph/io.hpp"
 #include "hicond/la/vector_ops.hpp"
 #include "hicond/obs/json.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/partition/backends/backend.hpp"
 #include "hicond/serve/batch.hpp"
 #include "hicond/serve/snapshot.hpp"
@@ -87,7 +86,6 @@ std::optional<std::string> ServerCore::submit(const std::string& line) {
   HICOND_CHECK(!pending_.has_value(),
                "submit() needs the pending request stepped first");
   ++requests_;
-  obs::MetricsRegistry::global().counter_add("serve.server.requests");
   Pending pending;
   if (auto refused =
           parse_envelope(line, options_.default_deadline_ms, pending.envelope)) {
@@ -110,16 +108,11 @@ std::optional<std::string> ServerCore::step() {
   }
   Pending pending = std::move(*pending_);
   pending_.reset();
-  const Timer request_timer;
-  std::string response;
   try {
-    response = process(pending);
+    return process(pending);
   } catch (const std::exception& e) {
-    response = error_response(pending.envelope.id, "bad_request", e.what());
+    return error_response(pending.envelope.id, "bad_request", e.what());
   }
-  obs::MetricsRegistry::global().histogram_record(
-      "serve.server.request_seconds", request_timer.seconds());
-  return response;
 }
 
 std::string ServerCore::handle(const std::string& line) {
@@ -213,7 +206,7 @@ std::string ServerCore::process(Pending& pending) {
   // overrides.
   const obs::JsonValue& graph_field = request.at("graph");
   HICOND_CHECK(graph_field.is_string(),
-               "request needs a string \"graph\" fingerprint");
+               op + " needs a string \"graph\" fingerprint");
   const std::uint64_t fp = parse_fingerprint(graph_field.string);
   const auto git = graphs_.find(fp);
   if (git == graphs_.end()) {

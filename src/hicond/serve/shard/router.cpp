@@ -9,7 +9,6 @@
 #include <exception>
 #include <utility>
 
-#include "hicond/obs/metrics.hpp"
 #include "hicond/serve/snapshot.hpp"
 #include "hicond/util/common.hpp"
 
@@ -97,7 +96,6 @@ void Router::respond_error(std::int64_t id, const char* code,
 
 void Router::handle_client_line(const std::string& line) {
   ++stat_requests_;
-  obs::MetricsRegistry::global().counter_add("serve.router.requests");
   Envelope env;
   if (auto refused =
           parse_envelope(line, options_.default_deadline_ms, env)) {
@@ -148,10 +146,8 @@ void Router::handle_graph_op(const Envelope& env, const std::string& line) {
   const bool is_update = env.op == "update";
   if (is_update) {
     ++stat_updates_;
-    obs::MetricsRegistry::global().counter_add("serve.router.updates");
   } else {
     ++stat_routed_;
-    obs::MetricsRegistry::global().counter_add("serve.router.routed");
   }
   // A derived fingerprint (the result of an `update`) routes through its
   // root: the mutated state lives only on the worker that executed the
@@ -206,7 +202,6 @@ void Router::dispatch(int w, Pending&& p) {
     return;
   }
   ++stat_shed_;
-  obs::MetricsRegistry::global().counter_add("serve.router.shed");
   if (p.action == Action::relay) {
     respond_error(p.client_id, "queue_full",
                   "worker lane is at capacity; retry later");
@@ -353,7 +348,6 @@ void Router::handle_worker_death(int w) {
     return;  // already handled
   }
   ++stat_restarts_;
-  obs::MetricsRegistry::global().counter_add("serve.router.restarts");
   pool_.mark_dead(w);
   lane.outbound.clear();
   lane.inbound.clear();
@@ -379,7 +373,6 @@ void Router::handle_worker_death(int w) {
         }
         p.retried = true;
         ++stat_retries_;
-        obs::MetricsRegistry::global().counter_add("serve.router.retries");
         // The retry waits for the respawn at the front of the backlog.
         requeue.push_back(std::move(p));
         break;
@@ -653,9 +646,6 @@ void Router::finish_stats(int tag) {
       ++doc_index;
     }
     w.end_object();
-    obs::MetricsRegistry::global().gauge_set(
-        "serve.router.worker" + std::to_string(i) + ".queue_depth",
-        static_cast<double>(lane.inflight.size() + lane.backlog.size()));
   }
   w.end_array();
   w.end_object();

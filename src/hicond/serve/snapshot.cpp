@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "hicond/graph/io.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/util/common.hpp"
 
 namespace hicond::serve {
@@ -287,7 +286,6 @@ void write_snapshot(std::ostream& out, const Graph& g) {
   const std::string bytes = encode_snapshot(g);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   HICOND_CHECK(out.good(), "snapshot write failed");
-  obs::MetricsRegistry::global().counter_add("serve.snapshot.writes");
 }
 
 void write_snapshot_file(const std::string& path, const Graph& g) {
@@ -300,7 +298,6 @@ Graph read_snapshot(std::istream& in) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string bytes = std::move(buffer).str();
-  obs::MetricsRegistry::global().counter_add("serve.snapshot.reads");
   return decode_snapshot(
       reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());
 }

@@ -48,7 +48,7 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 [[nodiscard]] std::uint64_t graph_fingerprint(const Graph& g);
 
 /// 16-hex-digit lowercase rendering of a fingerprint (the wire form used in
-/// serve requests and `hicond_tool --fingerprint`).
+/// serve requests and `hicond_tool fingerprint`).
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fingerprint);
 
 /// Parse the 16-hex-digit form back; throws invalid_argument_error on

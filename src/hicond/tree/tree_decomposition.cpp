@@ -7,7 +7,6 @@
 #include "hicond/graph/closure.hpp"
 #include "hicond/graph/conductance.hpp"
 #include "hicond/graph/connectivity.hpp"
-#include "hicond/obs/metrics.hpp"
 #include "hicond/obs/trace.hpp"
 #include "hicond/tree/critical.hpp"
 #include "hicond/tree/rooted_tree.hpp"
@@ -245,7 +244,6 @@ Decomposition tree_decomposition(const Graph& forest,
                                  const TreeDecompOptions& options) {
   HICOND_CHECK(is_forest(forest), "tree_decomposition requires a forest");
   HICOND_SPAN("tree.decompose");
-  obs::MetricsRegistry::global().counter_add("tree_decomposition.runs");
   const vidx n = forest.num_vertices();
   Decomposition result;
   result.assignment.assign(static_cast<std::size_t>(n), -1);

@@ -51,10 +51,9 @@ inline constexpr int kValidateExpensive = 2;
 }
 
 namespace detail {
-[[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
-                                             int line, const std::string& msg) {
+[[noreturn]] inline void throw_check_failure(const char* expr,
+                                             const std::string& msg) {
   throw invalid_argument_error(std::string("hicond check failed: ") + expr +
-                               " at " + file + ":" + std::to_string(line) +
                                (msg.empty() ? "" : (": " + msg)));
 }
 }  // namespace detail
@@ -65,8 +64,7 @@ namespace detail {
 #define HICOND_CHECK(expr, msg)                                          \
   do {                                                                   \
     if (!(expr)) {                                                       \
-      ::hicond::detail::throw_check_failure(#expr, __FILE__, __LINE__,   \
-                                            (msg));                      \
+      ::hicond::detail::throw_check_failure(#expr, (msg));               \
     }                                                                    \
   } while (false)
 
@@ -81,8 +79,7 @@ namespace detail {
   do {                                                                     \
     if constexpr (HICOND_VALIDATE_LEVEL >= HICOND_VALIDATE_RANK_##level) { \
       if (!(expr)) {                                                       \
-        ::hicond::detail::throw_check_failure(#expr, __FILE__, __LINE__,   \
-                                              (msg));                      \
+        ::hicond::detail::throw_check_failure(#expr, (msg));               \
       }                                                                    \
     }                                                                      \
   } while (false)

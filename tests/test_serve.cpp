@@ -562,6 +562,39 @@ TEST(ServeServer, MalformedAndUnknownRequestsAreErrors) {
   EXPECT_EQ(missing.at("error").string, "not_found");
 }
 
+TEST(ServeServer, StatsCountsRequestsAndCacheTraffic) {
+  // These members are the only copy of the serve counters: `stats` renders
+  // them and nothing else records them.
+  const Graph g = test_graph();
+  const std::string path = write_test_snapshot(g, "serve_counts.hsnap");
+  const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
+  ServerCore core;
+  ASSERT_TRUE(call(core, R"({"op":"load","path":")" + path + R"("})")
+                  .at("ok")
+                  .boolean);
+  const std::string solve =
+      R"({"op":"solve","graph":")" + fp + R"(","rhs_seed":3})";
+  const auto cold = call(core, solve);
+  ASSERT_TRUE(cold.at("ok").boolean);
+  EXPECT_FALSE(cold.at("cache_hit").boolean);
+  const auto warm = call(core, solve);
+  ASSERT_TRUE(warm.at("ok").boolean);
+  EXPECT_TRUE(warm.at("cache_hit").boolean);
+  EXPECT_EQ(call(core, R"({"op":"florble"})").at("error").string,
+            "unknown_op");
+
+  const auto stats = call(core, R"({"op":"stats"})");
+  ASSERT_TRUE(stats.at("ok").boolean);
+  // load, two solves, the unknown op and this stats request.
+  EXPECT_EQ(stats.at("requests").number, 5.0);
+  EXPECT_EQ(stats.at("graphs_loaded").number, 1.0);
+  const obs::JsonValue& cache = stats.at("cache");
+  EXPECT_EQ(cache.at("hits").number, 1.0);
+  EXPECT_EQ(cache.at("misses").number, 1.0);
+  EXPECT_EQ(cache.at("entries").number, 1.0);
+  EXPECT_EQ(cache.at("ticks").number, 2.0);
+}
+
 /// `values` as a JSON array, written by the library's own writer.
 std::string json_array(const std::vector<double>& values) {
   obs::JsonWriter w;
@@ -611,9 +644,9 @@ TEST(ServeServer, ShippedVectorsSolveBitwiseLikeServerSideSeeds) {
 }
 
 TEST(ServeServer, VectorErrorPathsArePinned) {
-  // Each malformed vector is a bad_request naming what is wrong with it.
+  // Each malformed request is a bad_request naming what is wrong with it.
   // The message ends with the check's text; what precedes it names the
-  // failed check and its source line.
+  // failed check, never a source location.
   const Graph g = test_graph();
   const std::string path = write_test_snapshot(g, "serve_vec_err.hsnap");
   const std::string fp = serve::fingerprint_hex(serve::graph_fingerprint(g));
@@ -630,6 +663,7 @@ TEST(ServeServer, VectorErrorPathsArePinned) {
       R"({"id":9,"op":"batch_solve","graph":")" + fp + R"(","rhs":)";
   const std::string update =
       R"({"id":9,"op":"update","graph":")" + fp + R"(","updates":)";
+  const std::string missing = testing::TempDir() + "/no_such_graph.hsnap";
   const std::vector<std::pair<std::string, std::string>> cases = {
       {solve + with_string + "}", "right-hand side entries must be numbers"},
       {solve + "[1,2,3]}", "right-hand side length does not match the graph"},
@@ -644,6 +678,10 @@ TEST(ServeServer, VectorErrorPathsArePinned) {
       {batch + "4}", "rhs must be an array of arrays"},
       {update + "[1,2]}", "each update must be a JSON object"},
       {update + "3}", "updates must be a JSON array"},
+      {R"({"id":9,"op":"solve","graph":5})",
+       "solve needs a string \"graph\" fingerprint"},
+      {R"({"id":9,"op":"load","path":")" + missing + R"("})",
+       "cannot open snapshot file: " + missing},
   };
   for (const auto& [line, message] : cases) {
     const auto r = call(core, line);
@@ -655,6 +693,8 @@ TEST(ServeServer, VectorErrorPathsArePinned) {
     EXPECT_TRUE(got.size() >= tail.size() &&
                 got.compare(got.size() - tail.size(), tail.size(), tail) == 0)
         << line.substr(0, 120) << " -> " << got;
+    EXPECT_EQ(got.find(".cpp:"), std::string::npos) << got;
+    EXPECT_EQ(got.find(".hpp:"), std::string::npos) << got;
   }
 }
 
